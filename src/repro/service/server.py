@@ -262,8 +262,8 @@ class CampaignService:
             )
         else:
             job.state = "complete"
-            # The StreamingRecorder's finish() already emitted the final
-            # "complete" event with totals; nothing more to add here.
+            # execute_submission already emitted the final "complete" event
+            # with totals; nothing more to add here.
 
     def _publish(self, key: str, event: dict) -> None:
         job = self.jobs.get(key)

@@ -17,7 +17,7 @@ pieces here keep that path warm and observable:
   outcome totals — to a callback the daemon fans out over SSE.
 * :func:`execute_submission` ties it together: acquire engine, open the
   recorder (folding run-time extras into the accept-time manifest), run
-  the campaigns, release the engine warm.
+  the campaigns, release the engine warm, then emit the final event.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ class StreamingRecorder:
         self.done = 0
         self.hits = 0
         self.misses = 0
+        self.converged = None
         self.campaign_key = recorder.campaign_key
 
     # -- recorder protocol (see core.campaign) ---------------------------------
@@ -127,8 +128,10 @@ class StreamingRecorder:
         self._note(result)
 
     def finish(self, executed_total, converged=None):
+        # The final "complete" event is left to execute_submission, which
+        # publishes it once the engine is back in its cache.
         self._recorder.finish(executed_total, converged)
-        self._emit(self.progress_event(final=True, converged=converged))
+        self.converged = converged
 
     def counters(self):
         return self._recorder.counters()
@@ -212,4 +215,7 @@ def execute_submission(
         )
     finally:
         engines.release(spec, injector)
+    # Published only now, so a client that resubmits on "complete" finds
+    # the warm engine in the cache instead of forcing a second build.
+    emit(streaming.progress_event(final=True, converged=streaming.converged))
     return summary

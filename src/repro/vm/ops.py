@@ -293,6 +293,18 @@ def _safe_log(x: float) -> float:
     return float("nan")
 
 
+def _safe_trig(fn: Callable[[float], float]) -> Callable[[float], float]:
+    """``fn`` with C's NaN for ±inf, where ``math.sin``/``math.cos`` raise."""
+
+    def f(x: float) -> float:
+        try:
+            return fn(x)
+        except ValueError:
+            return float("nan")
+
+    return f
+
+
 def _safe_pow(x: float, y: float) -> float:
     try:
         r = math.pow(x, y)
@@ -322,8 +334,8 @@ MATH_FNS = {
     "fabs": math.fabs,
     "exp": _safe_exp,
     "log": _safe_log,
-    "sin": math.sin,
-    "cos": math.cos,
+    "sin": _safe_trig(math.sin),
+    "cos": _safe_trig(math.cos),
     "floor": math.floor,
     "ceil": math.ceil,
     "pow": _safe_pow,

@@ -1,12 +1,20 @@
 """Campaign statistics against closed-form values, plus report rendering."""
 
+import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats as sps
 
+import repro
 from repro.analysis import (
     MixEntry,
     confidence_interval,
@@ -90,6 +98,131 @@ class TestNormality:
     def test_degenerate_samples_pass(self):
         assert is_near_normal([0.5, 0.5, 0.5])
         assert is_near_normal([0.5, 0.6])  # too few to test
+
+
+def scipy_margin(samples, confidence=0.95):
+    """The margin of error as computed with scipy's t quantile."""
+    x = np.asarray(samples, dtype=float)
+    t_star = sps.t.ppf(0.5 + confidence / 2.0, df=x.size - 1)
+    return float(t_star * x.std(ddof=1) / math.sqrt(x.size))
+
+
+def scipy_near_normal(samples, alpha=0.05):
+    return bool(sps.shapiro(samples).pvalue > alpha)
+
+
+def grid_triples(denominator):
+    """Every non-constant sorted triple of rates k/denominator."""
+    grid = [k / denominator for k in range(denominator + 1)]
+    return [
+        t for t in itertools.combinations_with_replacement(grid, 3)
+        if t[0] != t[2]
+    ]
+
+
+#: CI's extended job sets this to check the whole 1/100 grid (~177k triples).
+_SHAPIRO_FULL_GRID = os.environ.get("REPRO_SHAPIRO_FULL_GRID") == "1"
+
+
+class TestExactStatistics:
+    """The committed quantiles and the n = 3 Shapiro-Wilk closed form agree
+    with scipy, which stays the oracle here."""
+
+    def test_t_table_equals_scipy(self):
+        from repro.analysis.stats import _T_975
+
+        assert len(_T_975) == 64
+        for df, t_star in enumerate(_T_975, start=1):
+            assert t_star == sps.t.ppf(0.975, df=df), df
+
+    def test_z_equals_scipy(self):
+        from repro.analysis.stats import _Z_975
+
+        assert _Z_975 == sps.norm.ppf(0.975)
+
+    def test_margin_equals_scipy_for_every_table_df(self):
+        rng = np.random.default_rng(3)
+        for n in range(2, 66):
+            samples = rng.integers(0, 26, n) / 25
+            assert margin_of_error(samples) == scipy_margin(samples), n
+
+    def test_off_table_inputs_equal_scipy(self):
+        rng = np.random.default_rng(4)
+        samples = rng.integers(0, 26, 5) / 25
+        assert margin_of_error(samples, 0.99) == scipy_margin(samples, 0.99)
+        samples = rng.integers(0, 26, 101) / 25
+        assert margin_of_error(samples) == scipy_margin(samples)
+
+    def test_wilson_equals_scipy_z(self):
+        for confidence in (0.95, 0.99):
+            z = sps.norm.ppf(0.5 + confidence / 2.0)
+            for k, n in ((0, 50), (3, 7), (30, 100), (50, 50)):
+                p = k / n
+                denom = 1 + z * z / n
+                centre = (p + z * z / (2 * n)) / denom
+                half = (z / denom) * math.sqrt(
+                    p * (1 - p) / n + z * z / (4 * n * n)
+                )
+                assert wilson_interval(k, n, confidence) == (
+                    max(0.0, centre - half), min(1.0, centre + half)
+                )
+
+    def test_shipped_configs_reach_only_table_df(self):
+        from repro.analysis.stats import _T_975
+        from repro.experiments.common import SCALES
+        from repro.experiments.perf import MINI_CONFIG
+
+        for config in [*SCALES.values(), MINI_CONFIG]:
+            assert config.confidence == 0.95
+            assert config.max_campaigns - 1 <= len(_T_975)
+
+    @pytest.mark.parametrize("denominator", [8, 25])
+    def test_shapiro_n3_decision_equals_scipy_on_grid(self, denominator):
+        for triple in grid_triples(denominator):
+            assert is_near_normal(triple) == scipy_near_normal(triple), triple
+
+    def test_shapiro_n3_decision_equals_scipy_on_fine_grid(self):
+        triples = grid_triples(100)
+        if not _SHAPIRO_FULL_GRID:
+            triples = Random(12).sample(triples, 2000)
+        for triple in triples:
+            assert is_near_normal(triple) == scipy_near_normal(triple), triple
+
+    def test_shapiro_n3_ignores_sample_order(self):
+        for triple in grid_triples(8):
+            for perm in itertools.permutations(triple):
+                assert is_near_normal(perm) == is_near_normal(triple)
+
+
+def _scipy_modules_after_cli(args):
+    """Run one CLI command in a fresh interpreter; return the exit code and
+    the scipy modules it loaded."""
+    probe = (
+        "import json, sys\n"
+        "from repro.experiments.__main__ import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([rc, mods]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_processes_do_not_load_scipy(tmp_path):
+    """A quick-config campaign (3 campaigns, so the n = 3 Shapiro-Wilk
+    runs), then ``report`` and ``verify`` of its store, load no scipy."""
+    store = str(tmp_path / "store")
+    for args in (
+        ["submit", "--local", "--workload", "vcopy", "--category",
+         "pure-data", "--scale", "quick", "--store", store],
+        ["report", "--store", store, "--json"],
+        ["verify", "--store", store],
+    ):
+        assert _scipy_modules_after_cli(args) == [0, []], args
 
 
 class TestRenderTable:

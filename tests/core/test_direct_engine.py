@@ -10,6 +10,8 @@ instrumented chains handle structurally (sign-bit-masked AVX intrinsics,
 i1-masked SSE intrinsics, pointer sites' ptrtoint/inttoptr sandwich).
 """
 
+import math
+import struct
 from random import Random
 
 import numpy as np
@@ -24,7 +26,8 @@ from repro.core import (
 )
 from repro.errors import InjectionError
 from repro.frontend import compile_source
-from repro.ir.types import F32, I32, PointerType
+from repro.ir import FunctionType, IRBuilder, Module, declare_intrinsic
+from repro.ir.types import F32, F64, I32, PointerType, vector
 from repro.workloads import all_workloads, get_workload, micro_workloads
 
 INT_KERNEL = """
@@ -313,3 +316,34 @@ class TestEngineApi:
             (s.site_id, s.lane, str(s.scalar_type), sorted(s.categories))
             for s in instrumented.sites
         ]
+
+
+class TestTrigOnInfinity:
+    """``llvm.sin``/``llvm.cos`` of ±inf return NaN, as C does, on every
+    engine: a bit flip that makes a float infinite must not crash a run."""
+
+    @pytest.mark.parametrize("op", ["sin", "cos"])
+    @pytest.mark.parametrize("scalar", [F32, F64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("lanes", [None, 4], ids=["scalar", "v4"])
+    def test_nan_bit_identical_across_engines(self, op, scalar, lanes):
+        ty = scalar if lanes is None else vector(scalar, lanes)
+        suffix = f"f{scalar.bits}" if lanes is None else f"v{lanes}f{scalar.bits}"
+        module = Module("trig")
+        fn = module.add_function("f", FunctionType(ty, (ty,)), ["x"])
+        b = IRBuilder(fn.add_block("entry"))
+        b.ret(b.call(declare_intrinsic(module, f"llvm.{op}.{suffix}"), [fn.args[0]]))
+        arg = [math.inf, -math.inf, 0.0, -math.inf] if lanes else -math.inf
+        fmt = "<f" if scalar is F32 else "<d"
+
+        def runner(vm):
+            r = vm.run("f", [arg])
+            return {"bits": [struct.pack(fmt, x) for x in (r if lanes else [r])]}
+
+        outputs = {
+            engine: FaultInjector(module, engine=engine).golden(runner).output["bits"]
+            for engine in ENGINES
+        }
+        nan = struct.pack(fmt, float("nan"))
+        zero = struct.pack(fmt, getattr(math, op)(0.0))
+        expected = [nan, nan, zero, nan] if lanes else [nan]
+        assert outputs == {engine: expected for engine in ENGINES}

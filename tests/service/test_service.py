@@ -8,7 +8,14 @@ import pytest
 
 from repro.analysis.report import rebuild_report
 from repro.experiments.__main__ import main as cli_main
-from repro.service import CampaignService, ServiceClient, ServiceUnavailable
+from repro.service import (
+    CampaignService,
+    EngineCache,
+    ServiceClient,
+    ServiceUnavailable,
+    execute_submission,
+)
+from repro.service.protocol import normalize_submission
 from repro.store import CampaignStore
 
 
@@ -189,3 +196,23 @@ def test_health_reports_engine_reuse(daemon):
     # Second campaign on the same spec reused the warm parent engine.
     assert health["engines"]["builds"] == 1
     assert health["engines"]["reuses"] >= 1
+
+
+def test_engine_is_pooled_before_the_final_event(tmp_path):
+    """A client that resubmits on "complete" must find the warm engine."""
+    engines = EngineCache()
+    seen = []
+
+    def emit(event):
+        if event["event"] == "complete":
+            seen.append(engines.stats())
+
+    sub = normalize_submission(
+        {"workload": "vcopy", "category": "pure-data", "scale": "smoke"}
+    )
+    store = CampaignStore(tmp_path / "store")
+    try:
+        execute_submission(store, sub, pool=None, engines=engines, emit=emit)
+    finally:
+        store.close()
+    assert [s["pooled"] for s in seen] == [1]
