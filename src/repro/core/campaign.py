@@ -279,8 +279,9 @@ def run_batch(
 
     The flat (no convergence loop) driver used by the Fig. 12 detector
     study; honors the same serial/parallel split as :func:`run_campaigns`.
-    An externally owned ``pool`` (e.g. a :class:`SweepPool` cell view)
-    takes precedence over spawning one here and is left open on return.
+    An externally owned ``pool`` (e.g. a :class:`ServicePool` campaign
+    view) takes precedence over spawning one here and is left open on
+    return.
     A ``recorder`` (:meth:`repro.store.CampaignStore.recorder`) streams
     every result into a durable store and replays already-stored
     experiments instead of executing them — bit-identical either way.
@@ -313,7 +314,7 @@ def run_batch(
                 stats.add(result)
     finally:
         if recorder is not None:
-            recorder.store.flush()
+            recorder.flush()
     if recorder is not None:
         recorder.finish(executed_total=stats.total)
     return stats
@@ -337,9 +338,9 @@ def run_campaigns(
     randomly drawn input (the rng is only used for the draw).  With
     ``jobs > 1`` a ``worker_context`` is required; the summary is then
     bit-identical to ``jobs=1`` with the same seed.  An externally owned
-    ``pool`` (e.g. a :class:`~repro.core.parallel.SweepPool` cell view)
-    takes precedence and is left open on return — sweeps share one pool
-    across all their cells instead of re-forking per cell.
+    ``pool`` (e.g. a :class:`~repro.core.parallel.ServicePool` campaign
+    view) takes precedence and is left open on return — the service shares
+    one pool across all its campaigns instead of re-forking per campaign.
 
     A ``recorder`` (built by :meth:`repro.store.CampaignStore.recorder`)
     journals every experiment to a durable store as it completes and
@@ -417,7 +418,7 @@ def run_campaigns(
         if recorder is not None:
             # Whatever happened — convergence, a crash, a deliberate abort —
             # land every journaled record before control leaves.
-            recorder.store.flush()
+            recorder.flush()
 
     if shard is not None and shard.count == 1:
         # Full-budget baseline with complete samples: recompute the flag a

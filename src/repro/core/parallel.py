@@ -1,20 +1,29 @@
-"""Deterministic parallel experiment execution.
+"""Deterministic parallel execution, at two grains.
 
-The paper's experiments are embarrassingly parallel — every injection is an
-independent (input, site ``k``, bit) triple — but naive fan-out would give
-each worker its own RNG and change the published numbers.  Here the *parent*
-pre-draws the complete schedule with the one campaign ``Random(seed)``
-stream (input draw, then ``k ~ U{1..N}``, then the bit from the golden run's
-recorded site width — exactly the serial draw order), and workers only
-execute the faulty halves.  Results come back in schedule order, so a
-campaign summary is bit-identical to serial execution at any ``--jobs``.
+**Sweeps parallelise by cell.**  The paper's protocol (§IV-D) runs every
+(benchmark, ISA, category) cell as its own campaign with its own seed, so
+the cells of fig11/fig12/vecdiff are independent by construction.
+:func:`run_sweep` forks a :class:`SweepPool` once; each worker runs whole
+cells on the unchanged serial path with the engine it inherited through
+fork, and the parent journals each cell's buffered store operations in
+cell order — so journals are byte-identical to serial at any ``--jobs``.
 
-Workers are initialized once per process with a :class:`WorkerContext`: the
-pristine module travels pickled, and each worker rebuilds its own
-:class:`~repro.core.injector.FaultInjector` from it (instrumentation is
-deterministic, so site ids agree with the parent's).  Golden runs stay in
-the parent where the input-keyed cache lives; with ``Pool.imap`` over a lazy
-schedule generator they overlap with worker faulty runs.
+**Single campaigns parallelise by experiment** (``perf``, a standalone
+``run_cell(jobs>1)``, and the ``serve`` daemon).  The paper's experiments
+are independent (input, site ``k``, bit) triples, but naive fan-out would
+give each worker its own RNG and change the published numbers.  Here the
+*parent* pre-draws the complete schedule with the one campaign
+``Random(seed)`` stream (input draw, then ``k ~ U{1..N}``, then the bit
+from the golden run's recorded site width — exactly the serial draw
+order), and workers only execute the faulty halves.  Results come back in
+schedule order, so a campaign summary is bit-identical to serial execution
+at any ``--jobs``.  Workers are initialized once per process with a
+:class:`WorkerContext`: the pristine module travels pickled, and each
+worker rebuilds its own :class:`~repro.core.injector.FaultInjector` from
+it (instrumentation is deterministic, so site ids agree with the
+parent's).  Golden runs stay in the parent where the input-keyed cache
+lives; with ``Pool.imap`` over a lazy schedule generator they overlap
+with worker faulty runs.
 """
 
 from __future__ import annotations
@@ -64,12 +73,13 @@ DEFAULT_CHUNKSIZE = 4
 class _WorkerEngine:
     """One worker process's execution state for one campaign cell.
 
-    Built exactly once per (worker, cell) — at fork for single-cell pools
-    and for every cell of a sweep (:func:`_init_sweep_worker`), so no task
-    ever pays injector construction or module re-decode.  Checkpoint tapes
-    are process-local (register files are keyed by live IR instruction
-    objects), so a checkpointing worker rebuilds the golden run — tape and
-    all — *adaptively*: only for input keys it sees a second time.  A
+    Built exactly once per (worker, campaign) — at fork for an
+    :class:`ExperimentPool`, on first use for a :class:`ServicePool` — so
+    no task ever pays injector construction or module re-decode.
+    Checkpoint tapes are process-local (register files are keyed by live IR
+    instruction objects), so a checkpointing worker rebuilds the golden run
+    — tape and all — *adaptively*: only for input keys it sees a second
+    time.  A
     worker in the unique-input regime therefore never doubles its golden
     work, while the pooled-input regime records each hot input's tape once
     and fast-forwards every later experiment on it.
@@ -129,10 +139,6 @@ class _WorkerEngine:
 
 _worker_engine: _WorkerEngine | None = None
 
-#: Sweep-mode worker state: one eagerly-built engine per cell (fork-time
-#: initialization, so serving a task never re-decodes the module).
-_sweep_engines: dict = {}
-
 
 def _init_worker(context: WorkerContext) -> None:
     global _worker_engine
@@ -142,17 +148,6 @@ def _init_worker(context: WorkerContext) -> None:
 def _run_scheduled(task: ScheduledExperiment) -> ExperimentResult:
     assert _worker_engine is not None
     return _worker_engine.run_task(task)
-
-
-def _init_sweep_worker(contexts: dict) -> None:
-    _sweep_engines.clear()
-    for key, context in contexts.items():
-        _sweep_engines[key] = _WorkerEngine(context)
-
-
-def _run_sweep_scheduled(keyed_task) -> ExperimentResult:
-    key, task = keyed_task
-    return _sweep_engines[key].run_task(task)
 
 
 class ExperimentPool:
@@ -184,31 +179,63 @@ class ExperimentPool:
         self._pool.join()
 
 
-class SweepPool:
-    """One worker pool shared by every cell of an experiment sweep.
+#: A sweep worker's cells, inherited through fork (never pickled):
+#: ``(run, recorder)`` pairs (see :func:`run_sweep`).  The worker clears
+#: each entry once its cell has run, which releases that cell's engine.
+_sweep_cells: list = []
 
-    Fig. 11 runs dozens of (benchmark, ISA, category) cells; spawning a
-    fresh pool per cell pays fork + module-pickle + injector-build dozens
-    of times over.  A sweep pool forks *once* with all cells' contexts, and
-    each worker lazily builds injectors only for the cells whose tasks it
-    actually receives.  :meth:`cell` returns a view that campaign drivers
-    use exactly like an :class:`ExperimentPool` (closing the view is a
-    no-op — the sweep owns the processes).
+
+def _adopt_sweep_cells(cells: list) -> None:
+    global _sweep_cells
+    _sweep_cells = cells
+
+
+def _run_sweep_cell(index: int):
+    """Worker side of one sweep cell: the serial path, writes buffered.
+
+    Returns ``(row, ops)``.  If the cell raises, the exception carries the
+    ops completed before it as ``sweep_ops``, so the parent can journal
+    them before re-raising.
+    """
+    from ..store.recorder import BufferedRecorder
+
+    run, recorder = _sweep_cells[index]
+    _sweep_cells[index] = None
+    if recorder is not None:
+        recorder = BufferedRecorder(recorder)
+    try:
+        row = run(recorder=recorder)
+    except Exception as exc:
+        exc.sweep_ops = recorder.ops if recorder is not None else []
+        raise
+    return row, recorder.ops if recorder is not None else []
+
+
+class SweepPool:
+    """A worker pool that runs whole cells of an experiment sweep.
+
+    The paper's protocol (§IV-D) gives every (benchmark, ISA, category)
+    cell its own campaign and seed, so cells are independent by
+    construction.  The pool forks ``min(jobs, cells)`` workers once; each
+    task is one cell index, run on the unchanged serial path with the
+    engine and recorder the worker inherited — nothing is pickled or
+    rebuilt, so every cell's code generation happens exactly once across
+    all processes.  :meth:`imap_keyed` yields each cell's ``(row, ops)``
+    in cell order.
     """
 
-    def __init__(self, jobs: int, contexts: dict):
-        self.jobs = jobs
-        self._pool = multiprocessing.get_context().Pool(
-            processes=jobs, initializer=_init_sweep_worker, initargs=(contexts,)
+    def __init__(self, jobs: int, cells: list):
+        self._cells = len(cells)
+        # Fork, not spawn: the workers must inherit the cells' engines and
+        # recorders, and the store index, instead of rebuilding them.
+        self._pool = multiprocessing.get_context("fork").Pool(
+            processes=min(jobs, len(cells)),
+            initializer=_adopt_sweep_cells,
+            initargs=(cells,),
         )
 
-    def cell(self, key) -> "SweepCell":
-        return SweepCell(self, key)
-
-    def imap_keyed(self, key, schedule, chunksize: int = DEFAULT_CHUNKSIZE):
-        return self._pool.imap(
-            _run_sweep_scheduled, ((key, task) for task in schedule), chunksize
-        )
+    def imap_keyed(self):
+        return self._pool.imap(_run_sweep_cell, range(self._cells))
 
     def close(self) -> None:
         self._pool.close()
@@ -222,18 +249,51 @@ class SweepPool:
         self._pool.join()
 
 
-class SweepCell:
-    """One cell's pool-compatible view of a :class:`SweepPool`."""
+def run_sweep(cells: list, jobs: int = 1, store=None) -> list:
+    """Run an experiment sweep's cells; their rows, in cell order.
 
-    def __init__(self, pool: SweepPool, key):
-        self._pool = pool
-        self.key = key
+    ``cells`` holds one ``(run, recorder)`` pair per cell: ``run(recorder=
+    recorder)`` runs the cell's campaigns serially and returns its row, and
+    ``recorder`` is its store recorder (``None`` without a store).  Entries
+    are cleared as their cells finish, releasing each cell's engine.
 
-    def imap(self, schedule, chunksize: int = DEFAULT_CHUNKSIZE):
-        return self._pool.imap_keyed(self.key, schedule, chunksize)
+    With ``jobs > 1`` the cells run in a :class:`SweepPool`.  The parent
+    takes results in cell order and performs each cell's buffered store
+    operations on its recorder, so only the parent writes the store, in
+    exactly the serial order: journals are byte-identical to ``jobs=1``,
+    and a cell's failure journals what the cell completed, re-raises, and
+    leaves every later cell unjournaled, as the serial path does.
+    """
+    from ..store.recorder import apply_ops
 
-    def close(self) -> None:
-        """No-op: the owning :class:`SweepPool` manages worker lifetime."""
+    rows = []
+    try:
+        if jobs <= 1 or len(cells) < 2:
+            for index, (run, recorder) in enumerate(cells):
+                cells[index] = None
+                rows.append(run(recorder=recorder))
+            return rows
+        if store is not None:
+            store.flush()  # no worker may inherit buffered records
+        with SweepPool(jobs, cells) as pool:
+            results = pool.imap_keyed()
+            for index in range(len(cells)):
+                recorder = cells[index][1]
+                try:
+                    row, ops = next(results)
+                except Exception as exc:
+                    if recorder is not None:
+                        apply_ops(getattr(exc, "sweep_ops", []), recorder)
+                    raise
+                cells[index] = None
+                if recorder is not None:
+                    apply_ops(ops, recorder)
+                rows.append(row)
+            pool.close()
+        return rows
+    finally:
+        if store is not None:
+            store.flush()
 
 
 @dataclass(frozen=True)
@@ -304,8 +364,8 @@ def _warm_service_engine(spec: EngineSpec) -> bool:
 class ServicePool:
     """One persistent worker pool shared by every campaign of a service.
 
-    The sweep pool forks with all cell contexts known upfront; a service
-    cannot know its future submissions, so its pool forks *empty* and
+    An experiment pool forks with its campaign's context known upfront; a
+    service cannot know its future submissions, so its pool forks *empty* and
     workers build engines lazily from the :class:`EngineSpec` riding along
     with each task, keeping them cached across campaigns and tenants.
     Concurrent ``imap`` calls from different scheduler threads are safe —

@@ -30,8 +30,11 @@ processes.  ``--shards`` (like ``--jobs``) never enters experiment keys:
 shard runs disable the convergence early-exit and always cover the full
 ``max_campaigns`` budget, so every stripe sees the same schedule.
 
-``--jobs N`` fans the fault-injection campaigns (fig11/fig12/perf) out over
-N worker processes; results are bit-identical to ``--jobs 1``.
+``--jobs N`` runs the fault-injection campaigns in N worker processes;
+results and journals are bit-identical to ``--jobs 1``.  The figure sweeps
+(fig11/fig12/vecdiff) parallelise by cell — each worker runs whole cells,
+and only the parent writes the store; single campaigns (perf, serve)
+parallelise by experiment.
 
 ``--store DIR`` journals every fault-injection experiment into a durable
 campaign store as it completes (and memoizes the non-campaign tables).  An

@@ -12,12 +12,13 @@ rate is the highest of its three categories.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict
 
 from ..analysis.report import pct, render_table
 from ..core.campaign import CampaignConfig, run_campaigns
 from ..core.injector import FaultInjector
-from ..core.parallel import SweepPool
+from ..core.parallel import run_sweep
 from ..workloads.registry import Workload, benchmark_workloads
 from .common import (
     CATEGORIES,
@@ -64,7 +65,6 @@ def run_cell(
     jobs: int = 1,
     engine: str = "direct",
     checkpoint_interval: int | None = None,
-    pool=None,
     injector: FaultInjector | None = None,
     scale: str = "custom",
     store=None,
@@ -74,13 +74,12 @@ def run_cell(
 ) -> dict:
     """One Fig.-11 cell: campaigns for (benchmark, ISA, site category).
 
-    ``pool``/``injector``/``recorder`` are supplied by :func:`run` when a
-    whole sweep shares one :class:`~repro.core.parallel.SweepPool` and/or a
-    :class:`~repro.store.CampaignStore`; standalone callers leave them unset
-    and get a per-cell pool (``jobs > 1``), serial runs, and — with
-    ``store`` — a per-cell recorder.  ``shard`` (a :class:`~repro.store.
-    ShardSpec`) restricts execution to one schedule stripe; see
-    :mod:`repro.store.shard`.
+    ``injector``/``recorder`` are supplied by :func:`run`, which builds
+    every cell's engine and store recorder before the sweep starts;
+    standalone callers leave them unset and get a per-cell pool (``jobs >
+    1``), serial runs, and — with ``store`` — a per-cell recorder.
+    ``shard`` (a :class:`~repro.store.ShardSpec`) restricts execution to
+    one schedule stripe; see :mod:`repro.store.shard`.
     """
     if injector is None:
         module = workload.compile(target)
@@ -94,9 +93,7 @@ def run_cell(
             abort_after=abort_after,
         )
     worker_context = (
-        campaign_worker_context(injector, workload)
-        if jobs > 1 and pool is None
-        else None
+        campaign_worker_context(injector, workload) if jobs > 1 else None
     )
     summary = run_campaigns(
         injector,
@@ -105,7 +102,6 @@ def run_cell(
         seed=cell_seed("fig11", workload.name, target, category),
         jobs=jobs,
         worker_context=worker_context,
-        pool=pool,
         recorder=recorder,
         shard=shard,
     )
@@ -140,65 +136,38 @@ def run(
         raise ValueError("fig11.run(shard=...) requires a store")
     config = SCALES[scale]
     report = ExperimentReport(name="fig11", scale=scale, headers=list(HEADERS))
+    # With --jobs or --store every cell's engine is built here first; with
+    # --store its manifest also lands before the first injection, so a
+    # crash mid-sweep leaves a complete inventory for `resume`.
+    upfront = jobs > 1 or store is not None
+
+    def cell(w, target, category):
+        injector = recorder = None
+        if upfront:
+            injector = FaultInjector(
+                w.compile(target), category=category, step_limit=2_000_000,
+                engine=engine, checkpoint_interval=checkpoint_interval,
+            )
+        if store is not None:
+            recorder = cell_recorder(
+                store, w, target, category, scale, config, injector,
+                abort_after=abort_after,
+            )
+        run = functools.partial(
+            run_cell, w, target, category, config, engine=engine,
+            checkpoint_interval=checkpoint_interval, injector=injector,
+            scale=scale, shard=shard,
+        )
+        return run, recorder
+
     cells = [
-        (w, target, category)
+        cell(w, target, category)
         for w in benchmark_workloads()
         if benchmarks is None or w.name in benchmarks
         for target in TARGETS
         for category in CATEGORIES
     ]
-    # With --jobs, every cell's engine is built in the parent first and one
-    # SweepPool serves the whole sweep: the workers fork once with all cell
-    # contexts instead of re-spawning (and re-pickling modules) per cell.
-    # With --store, injectors are likewise built upfront so every cell's
-    # manifest lands before the first injection — a crash mid-sweep leaves a
-    # complete inventory for `resume`.
-    injectors: dict = {}
-    recorders: dict = {}
-    pool: SweepPool | None = None
-    if jobs > 1 or store is not None:
-        contexts = {}
-        for w, target, category in cells:
-            key = (w.name, target, category)
-            injectors[key] = FaultInjector(
-                w.compile(target),
-                category=category,
-                step_limit=2_000_000,
-                engine=engine,
-                checkpoint_interval=checkpoint_interval,
-            )
-            contexts[key] = campaign_worker_context(injectors[key], w)
-            if store is not None:
-                recorders[key] = cell_recorder(
-                    store, w, target, category, scale, config,
-                    injectors[key], abort_after=abort_after,
-                )
-        if jobs > 1:
-            pool = SweepPool(jobs, contexts)
-    try:
-        for w, target, category in cells:
-            key = (w.name, target, category)
-            report.rows.append(
-                run_cell(
-                    w,
-                    target,
-                    category,
-                    config,
-                    jobs=jobs,
-                    engine=engine,
-                    checkpoint_interval=checkpoint_interval,
-                    pool=pool.cell(key) if pool is not None else None,
-                    injector=injectors.get(key),
-                    scale=scale,
-                    recorder=recorders.get(key),
-                    shard=shard,
-                )
-            )
-    finally:
-        if pool is not None:
-            pool.close()
-        if store is not None:
-            store.flush()
+    report.rows = run_sweep(cells, jobs, store)
     report.notes.append(
         "Paper shape: Stencil/Blackscholes highest SDC; Swaptions/CG most "
         "resilient; address faults crash the most; Chebyshev's address SDC "

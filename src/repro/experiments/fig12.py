@@ -18,6 +18,7 @@ mostly crash, leaving low SDC rates.
 
 from __future__ import annotations
 
+import functools
 from random import Random
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from ..analysis.report import pct, render_table
 from ..core.campaign import run_batch
 from ..core.injector import FaultInjector
+from ..core.parallel import run_sweep
 from ..detectors.runtime import detector_bindings_factory
 from ..vm.interpreter import Interpreter
 from ..workloads.registry import Workload, micro_workloads
@@ -113,7 +115,6 @@ def run_cell(
     jobs: int = 1,
     engine: str = "direct",
     checkpoint_interval: int | None = None,
-    pool=None,
     injector: FaultInjector | None = None,
     scale: str = "custom",
     store=None,
@@ -136,7 +137,7 @@ def run_cell(
     factory = detector_bindings_factory()
     worker_context = (
         campaign_worker_context(injector, workload, with_detectors=True)
-        if jobs > 1 and pool is None
+        if jobs > 1
         else None
     )
     stats = run_batch(
@@ -147,7 +148,6 @@ def run_cell(
         bindings_factory=factory,
         jobs=jobs,
         worker_context=worker_context,
-        pool=pool,
         recorder=recorder,
         shard=shard,
     )
@@ -178,66 +178,41 @@ def run(
         raise ValueError("fig12.run(shard=...) requires a store")
     experiments = FIG12_EXPERIMENTS[scale]
     report = ExperimentReport(name="fig12", scale=scale, headers=list(HEADERS))
-    cells = [(w, category) for w in micro_workloads() for category in CATEGORIES]
     overheads = {w.name: measure_overhead(w) for w in micro_workloads()}
-    # One SweepPool serves all (micro, category) cells — same pattern as
-    # Fig. 11: fork once with every cell's context, build injectors lazily
-    # in the workers.  With --store, injectors and recorders are built
-    # upfront so every cell is manifested (with its measured overhead)
-    # before the first injection.
-    injectors: dict = {}
-    recorders: dict = {}
-    pool = None
-    if jobs > 1 or store is not None:
-        from ..core.parallel import SweepPool
+    # Same pattern as Fig. 11: with --jobs or --store every cell's engine
+    # is built here first, and with --store every cell is manifested (with
+    # its measured overhead) before the first injection.
+    upfront = jobs > 1 or store is not None
 
-        contexts = {}
-        for w, category in cells:
-            key = (w.name, category)
-            module = w.compile("avx", foreach_detectors=True)
-            injectors[key] = FaultInjector(
-                module, category=category, step_limit=500_000, engine=engine,
+    def cell(w, category):
+        injector = recorder = None
+        if upfront:
+            injector = FaultInjector(
+                w.compile("avx", foreach_detectors=True), category=category,
+                step_limit=500_000, engine=engine,
                 checkpoint_interval=checkpoint_interval,
             )
-            contexts[key] = campaign_worker_context(
-                injectors[key], w, with_detectors=True
-            )
-            if store is not None:
-                recorders[key] = cell_recorder(
-                    store, w, category, experiments, scale, injectors[key],
-                    extras={
-                        "overhead": overheads[w.name],
-                        "paper_overhead": PAPER_OVERHEADS.get(w.name),
-                    },
-                    abort_after=abort_after,
-                )
-        if jobs > 1:
-            pool = SweepPool(jobs, contexts)
-    try:
-        for w in micro_workloads():
-            for category in CATEGORIES:
-                key = (w.name, category)
-                row = run_cell(
-                    w,
-                    category,
-                    experiments,
-                    jobs=jobs,
-                    engine=engine,
-                    checkpoint_interval=checkpoint_interval,
-                    pool=pool.cell(key) if pool is not None else None,
-                    injector=injectors.get(key),
-                    scale=scale,
-                    recorder=recorders.get(key),
-                    shard=shard,
-                )
-                row["overhead"] = overheads[w.name]
-                row["paper_overhead"] = PAPER_OVERHEADS.get(w.name)
-                report.rows.append(row)
-    finally:
-        if pool is not None:
-            pool.close()
         if store is not None:
-            store.flush()
+            recorder = cell_recorder(
+                store, w, category, experiments, scale, injector,
+                extras={
+                    "overhead": overheads[w.name],
+                    "paper_overhead": PAPER_OVERHEADS.get(w.name),
+                },
+                abort_after=abort_after,
+            )
+        run = functools.partial(
+            run_cell, w, category, experiments, engine=engine,
+            checkpoint_interval=checkpoint_interval, injector=injector,
+            scale=scale, shard=shard,
+        )
+        return run, recorder
+
+    cells = [cell(w, category) for w in micro_workloads() for category in CATEGORIES]
+    for row in run_sweep(cells, jobs, store):
+        row["overhead"] = overheads[row["benchmark"]]
+        row["paper_overhead"] = PAPER_OVERHEADS.get(row["benchmark"])
+        report.rows.append(row)
     report.notes.append(
         "Overhead is a dynamic-instruction ratio (deterministic proxy for "
         "the paper's ~8% wall-clock figure). Expect 0% detection under "

@@ -15,12 +15,13 @@ like any other.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict
 
 from ..analysis.report import pct, render_table
 from ..core.campaign import CampaignConfig, run_campaigns
 from ..core.injector import FaultInjector
-from ..core.parallel import SweepPool
+from ..core.parallel import run_sweep
 from ..workloads.generated import GeneratedWorkload, form_pairs
 from ..workloads.registry import Workload
 from .common import (
@@ -91,7 +92,6 @@ def run_cell(
     jobs: int = 1,
     engine: str = "direct",
     checkpoint_interval: int | None = None,
-    pool=None,
     injector: FaultInjector | None = None,
     scale: str = "custom",
     store=None,
@@ -112,9 +112,7 @@ def run_cell(
             injector, abort_after=abort_after,
         )
     worker_context = (
-        campaign_worker_context(injector, workload)
-        if jobs > 1 and pool is None
-        else None
+        campaign_worker_context(injector, workload) if jobs > 1 else None
     )
     summary = run_campaigns(
         injector,
@@ -123,7 +121,6 @@ def run_cell(
         seed=cell_seed("vecdiff", workload.name, target, category),
         jobs=jobs,
         worker_context=worker_context,
-        pool=pool,
         recorder=recorder,
         shard=shard,
     )
@@ -160,61 +157,36 @@ def run(
         raise ValueError("vecdiff.run(shard=...) requires a store")
     config = SCALES[scale]
     report = ExperimentReport(name="vecdiff", scale=scale, headers=list(HEADERS))
+    # Mirrors fig11: with --jobs or --store every cell's engine is built
+    # here first, and manifests land before the first injection.
+    upfront = jobs > 1 or store is not None
+
+    def cell(w, target, category):
+        injector = recorder = None
+        if upfront:
+            injector = FaultInjector(
+                w.compile(target), category=category, step_limit=2_000_000,
+                engine=engine, checkpoint_interval=checkpoint_interval,
+            )
+        if store is not None:
+            recorder = cell_recorder(
+                store, w, target, category, scale, config, injector,
+                abort_after=abort_after,
+            )
+        run = functools.partial(
+            run_cell, w, target, category, config, engine=engine,
+            checkpoint_interval=checkpoint_interval, injector=injector,
+            scale=scale, shard=shard,
+        )
+        return run, recorder
+
     cells = [
-        (w, target, category)
+        cell(w, target, category)
         for w in _cells(benchmarks)
         for target in TARGETS
         for category in CATEGORIES
     ]
-    # Mirrors fig11: with --jobs or --store, every injector is built in the
-    # parent upfront (one SweepPool for the sweep; manifests land before
-    # the first injection so a crash leaves a resumable inventory).
-    injectors: dict = {}
-    recorders: dict = {}
-    pool: SweepPool | None = None
-    if jobs > 1 or store is not None:
-        contexts = {}
-        for w, target, category in cells:
-            key = (w.name, target, category)
-            injectors[key] = FaultInjector(
-                w.compile(target),
-                category=category,
-                step_limit=2_000_000,
-                engine=engine,
-                checkpoint_interval=checkpoint_interval,
-            )
-            contexts[key] = campaign_worker_context(injectors[key], w)
-            if store is not None:
-                recorders[key] = cell_recorder(
-                    store, w, target, category, scale, config,
-                    injectors[key], abort_after=abort_after,
-                )
-        if jobs > 1:
-            pool = SweepPool(jobs, contexts)
-    try:
-        for w, target, category in cells:
-            key = (w.name, target, category)
-            report.rows.append(
-                run_cell(
-                    w,
-                    target,
-                    category,
-                    config,
-                    jobs=jobs,
-                    engine=engine,
-                    checkpoint_interval=checkpoint_interval,
-                    pool=pool.cell(key) if pool is not None else None,
-                    injector=injectors.get(key),
-                    scale=scale,
-                    recorder=recorders.get(key),
-                    shard=shard,
-                )
-            )
-    finally:
-        if pool is not None:
-            pool.close()
-        if store is not None:
-            store.flush()
+    report.rows = run_sweep(cells, jobs, store)
     report.notes.append(
         "Same recipe, same golden outputs: outcome deltas between the "
         "handvec and auto rows measure the vectorization strategy alone."

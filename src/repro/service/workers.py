@@ -108,10 +108,6 @@ class StreamingRecorder:
 
     # -- recorder protocol (see core.campaign) ---------------------------------
 
-    @property
-    def store(self):
-        return self._recorder.store
-
     def claim(self, k, bit, params):
         return self._recorder.claim(k, bit, params)
 
@@ -135,6 +131,9 @@ class StreamingRecorder:
 
     def counters(self):
         return self._recorder.counters()
+
+    def flush(self):
+        self._recorder.flush()
 
     # -- event plumbing --------------------------------------------------------
 

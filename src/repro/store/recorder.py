@@ -67,10 +67,14 @@ class CampaignRecorder:
                 "result": encode_result(result),
             }
         )
-        self.misses += 1
         self.store.session_counters["misses"] += 1
+        self._executed()
+
+    def _executed(self) -> None:
+        """Count one newly executed experiment; honour ``abort_after``."""
+        self.misses += 1
         if self.abort_after is not None and self.misses >= self.abort_after:
-            self.store.flush()
+            self.flush()
             raise CampaignAborted(
                 f"aborted after {self.misses} newly executed experiments "
                 f"(abort_after={self.abort_after}); store flushed — resume "
@@ -87,6 +91,10 @@ class CampaignRecorder:
         }
         self.manifest = manifest
         self.store.add_manifest(manifest)
+        self.flush()
+
+    def flush(self) -> None:
+        """Land every buffered record of the store on disk."""
         self.store.flush()
 
     def counters(self) -> dict:
@@ -96,3 +104,42 @@ class CampaignRecorder:
             "misses": self.misses,
             "recorded": self.store.experiment_count(self.campaign_key),
         }
+
+
+class BufferedRecorder(CampaignRecorder):
+    """One cell's recorder inside a sweep worker; it never writes the store.
+
+    Built from the parent's recorder of the cell, it claims and replays as
+    that recorder would (replay reads the store index the worker inherited
+    through fork).  ``record`` and ``finish`` are kept as :attr:`ops`,
+    ``flush`` is a no-op, and :func:`apply_ops` later performs the ops on
+    the parent's recorder, in order — so only the parent journals, exactly
+    as the serial path would.
+    ``abort_after`` still stops the worker's cell at the same record.
+    """
+
+    def __init__(self, recorder: CampaignRecorder):
+        super().__init__(recorder.store, recorder.manifest, recorder.abort_after)
+        self.ops: list[tuple] = []
+
+    def replay(self, key: str):
+        stored = super().replay(key)
+        if stored is not None:
+            self.ops.append(("replay", key))
+        return stored
+
+    def record(self, key: str, seq: int, k: int, bit: int, params, result) -> None:
+        self.ops.append(("record", key, seq, k, bit, params, result))
+        self._executed()
+
+    def finish(self, executed_total: int, converged: bool | None = None) -> None:
+        self.ops.append(("finish", executed_total, converged))
+
+    def flush(self) -> None:
+        """No-op: only the parent process writes the store."""
+
+
+def apply_ops(ops: list[tuple], recorder: CampaignRecorder) -> None:
+    """Perform a :class:`BufferedRecorder`'s ops on the parent's recorder."""
+    for name, *args in ops:
+        getattr(recorder, name)(*args)

@@ -106,6 +106,8 @@ def _make_runner(params: dict):
     py = f32(rng.uniform(0.1, 1.0, n))
     vx = f32(rng.uniform(-0.1, 0.1, n))
     vy = f32(np.zeros(n))
+    h = float(np.float32(0.35))
+    dt = float(np.float32(0.01))
 
     def runner(vm):
         args = ArrayArgs(vm)
@@ -118,7 +120,7 @@ def _make_runner(params: dict):
         pyn = args.in_f32(np.zeros(n), "pyn")
         vm.run(
             "fluid_step_ispc",
-            [ppx, ppy, pvx, pvy, pd, pxn, pyn, n, 0.35, 0.01, _STEPS],
+            [ppx, ppy, pvx, pvy, pd, pxn, pyn, n, h, dt, _STEPS],
         )
         return args.collect()
 

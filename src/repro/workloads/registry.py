@@ -26,7 +26,10 @@ from ..vm.interpreter import Interpreter
 #: input space, runner protocol, or output definition).  Campaign-store
 #: manifests pin this alongside :func:`registry_fingerprint`; resuming a
 #: store recorded under a different registry is refused as unsound.
-REGISTRY_VERSION = 1
+#: Version 2: fluidanimate and swaptions pass their ``float`` arguments
+#: rounded to binary32 (they passed doubles), which changes what they
+#: compute.
+REGISTRY_VERSION = 2
 
 #: suite labels used in Table I
 PARVEC = "Parvec"

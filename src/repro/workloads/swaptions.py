@@ -62,6 +62,9 @@ def _make_runner(params: dict):
     rng = np.random.default_rng(params["seed"])
     shocks = f32(rng.standard_normal(nswap * _NSTEPS * nsims))
     strikes = f32(rng.uniform(0.03, 0.07, nswap))
+    r0 = float(np.float32(0.05))
+    vol = float(np.float32(0.2))
+    dt = float(np.float32(0.1))
 
     def runner(vm):
         args = ArrayArgs(vm)
@@ -70,7 +73,7 @@ def _make_runner(params: dict):
         pp = args.out_f32("prices", nswap)
         vm.run(
             "swaptions_ispc",
-            [pz, pk, pp, nswap, nsims, _NSTEPS, 0.05, 0.2, 0.1],
+            [pz, pk, pp, nswap, nsims, _NSTEPS, r0, vol, dt],
         )
         return args.collect()
 

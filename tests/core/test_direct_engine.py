@@ -20,6 +20,7 @@ import pytest
 from repro.core import (
     ENGINES,
     FaultInjector,
+    Outcome,
     build_injection_plan,
     enumerate_module_sites,
     filter_sites,
@@ -28,6 +29,8 @@ from repro.errors import InjectionError
 from repro.frontend import compile_source
 from repro.ir import FunctionType, IRBuilder, Module, declare_intrinsic
 from repro.ir.types import F32, F64, I32, PointerType, vector
+from repro.vm.bits import round_f32
+from repro.vm.interpreter import Interpreter
 from repro.workloads import all_workloads, get_workload, micro_workloads
 
 INT_KERNEL = """
@@ -347,3 +350,77 @@ class TestTrigOnInfinity:
         zero = struct.pack(fmt, getattr(math, op)(0.0))
         expected = [nan, nan, zero, nan] if lanes else [nan]
         assert outputs == {engine: expected for engine in ENGINES}
+
+
+class TestFloatArguments:
+    """A ``float`` kernel argument must be a binary32 value.  A Python
+    double passed as one sits unrounded in an f32 register: lane-wise ops
+    compute with the double while the compiled engine's packed ops compute
+    with its rounding, so the engines disagree by an ulp.  Callers round,
+    as a C caller's implicit conversion would; the VM does not."""
+
+    BROADCAST_KERNEL = """
+    export void k(uniform float x, uniform float a[], uniform float b[],
+                  uniform int n) {
+        foreach (i = 0 ... n) { b[i] = x - a[i]; }
+    }
+    """
+
+    def test_broadcast_binary32_argument_agrees_across_engines(self):
+        module = compile_source(self.BROADCAST_KERNEL, "avx")
+        data = np.random.default_rng(3).random(64).astype(np.float32)
+
+        def runner(vm):
+            pa = vm.memory.store_array(F32, data, "a")
+            pb = vm.memory.store_array(F32, np.zeros(64, np.float32), "b")
+            vm.run("k", [float(np.float32(0.35)), pa, pb, 64])
+            return {"b": vm.memory.load_array(F32, pb, 64).tobytes()}
+
+        expected = (np.float32(0.35) - data).tobytes()
+        for engine in ENGINES:
+            assert FaultInjector(module, engine=engine).golden(
+                runner
+            ).output["b"] == expected, engine
+
+    @pytest.mark.parametrize("workload", all_workloads(), ids=lambda w: w.name)
+    def test_workloads_pass_binary32_float_arguments(self, workload, monkeypatch):
+        module = workload.compile("avx")
+        run = Interpreter.run
+
+        def checking_run(vm, function, args):
+            fn = vm.module.get_function(function)
+            for formal, actual in zip(fn.args, args):
+                if formal.type == F32:
+                    assert round_f32(actual) == actual, (fn.name, formal.name)
+            return run(vm, function, args)
+
+        monkeypatch.setattr(Interpreter, "run", checking_run)
+        workload.make_runner(workload.sample_input(Random(1)))(Interpreter(module))
+
+    def test_fig11_fluidanimate_control_experiment_agrees(self):
+        """fig11 smoke, fluidanimate/avx/control, experiment 6: a flip of
+        bit 1 in lane 6 of an ``fmul <8 x float>`` (site 963).  The
+        compiled engine used to call it an SDC; it is Benign."""
+        from repro.core.parallel import draw_experiment
+        from repro.experiments.common import cell_seed
+
+        workload = get_workload("fluidanimate")
+        module = workload.compile("avx")
+        rng = Random(cell_seed("fig11", workload.name, "avx", "control"))
+        factory = workload.runner_factory()
+        injectors = {
+            engine: FaultInjector(module, category="control", engine=engine)
+            for engine in ENGINES
+        }
+        for _ in range(7):
+            runner = factory(rng)
+            golden, k, bit = draw_experiment(injectors["direct"], runner, rng)
+        assert (k, bit) == (32847, 1)
+        outputs, results = {}, {}
+        for engine, injector in injectors.items():
+            golden = injector.golden(runner)
+            outputs[engine] = repr(golden.output)
+            results[engine] = injector.faulty(runner, golden, k, bit=bit)
+        assert len(set(outputs.values())) == 1
+        assert {r.injection.site_id for r in results.values()} == {963}
+        assert {r.outcome for r in results.values()} == {Outcome.BENIGN}

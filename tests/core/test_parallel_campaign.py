@@ -203,16 +203,39 @@ class TestWorkerEngine:
             parallel._run_scheduled(task)
         assert DECODE_EVENTS["functions"] == before
 
-    def test_sweep_workers_build_every_cell_at_init(self):
-        from repro.core import parallel
+    def test_sweep_worker_builds_only_the_cells_it_runs(self, monkeypatch):
+        """A sweep worker runs a cell on the engine it inherited, generates
+        code for that cell alone, and drops the engine afterwards."""
+        import gc
+        import weakref
 
-        _, _, context_a = self._context()
-        _, _, context_b = self._context(checkpoint_interval=30)
-        parallel._init_sweep_worker({"a": context_a, "b": context_b})
-        assert set(parallel._sweep_engines) == {"a", "b"}
-        for engine in parallel._sweep_engines.values():
-            assert engine.injector is not None  # built eagerly, not per task
-        assert parallel._sweep_engines["b"].injector.checkpoint_interval == 30
+        from repro.core import parallel
+        from repro.experiments import fig11
+        from repro.experiments.common import SCALES
+
+        workload = get_workload("blackscholes")
+        cells, plans = [], []
+        for category in ("pure-data", "control", "address"):
+            injector = FaultInjector(
+                workload.compile("avx"), category=category, engine="compiled"
+            )
+            plans.append(injector._plan)
+            run = functools.partial(
+                fig11.run_cell, workload, "avx", category, SCALES["smoke"],
+                injector=injector,
+            )
+            cells.append((run, None))
+        ran = weakref.ref(cells[1][0].keywords["injector"])
+        del injector, run
+        monkeypatch.setattr(parallel, "_sweep_cells", cells)
+
+        row, ops = parallel._run_sweep_cell(1)
+        gc.collect()
+        assert row["category"] == "control" and ops == []
+        assert [plan._compiled is not None for plan in plans] == [
+            False, True, False,
+        ]
+        assert cells[1] is None and ran() is None
 
     def test_worker_rebuilds_golden_for_repeated_inputs(self):
         """Checkpointing workers synthesize the golden for a first-seen
