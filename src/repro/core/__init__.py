@@ -24,13 +24,7 @@ from .cluster import (
 )
 from .direct import build_injection_plan, chain_tax
 from .injector import ENGINES, FaultInjector, GoldenCache, GoldenRun, clone_module
-from .parallel import (
-    DEFAULT_CHUNKSIZE,
-    ExperimentPool,
-    ScheduledExperiment,
-    SweepPool,
-    WorkerContext,
-)
+from .parallel import DEFAULT_CHUNKSIZE, ScheduledExperiment, SweepPool
 from .instrument import Instrumentor, instrument_module
 from .outcomes import ExperimentResult, Outcome, outputs_equal, values_equal
 from .runtime import (
@@ -65,10 +59,8 @@ __all__ = [
     "would_converge",
     "GoldenCache",
     "DEFAULT_CHUNKSIZE",
-    "ExperimentPool",
     "ScheduledExperiment",
     "SweepPool",
-    "WorkerContext",
     "ADDRESS",
     "CONTROL",
     "PURE_DATA",

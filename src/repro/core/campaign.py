@@ -10,10 +10,11 @@ or until ``max_campaigns``.
 Each experiment draws a program input at random from the workload's
 predefined input space (§IV-B) via the caller-supplied ``runner_factory``.
 
-With ``jobs > 1`` and a :class:`~repro.core.parallel.WorkerContext`, the
-faulty runs fan out over a worker pool while the parent pre-draws the
-schedule with the same ``Random(seed)`` stream — results are bit-identical
-to serial execution at any job count.
+With a ``pool`` (the ``serve`` daemon's
+:class:`~repro.core.parallel.ServicePool` view of one campaign), the faulty
+runs fan out over workers while the parent pre-draws the schedule with the
+same ``Random(seed)`` stream — results are bit-identical to serial
+execution at any job count.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ import queue
 from ..analysis.stats import RateEstimate, estimate_rate, is_near_normal, margin_of_error
 from .injector import BindingsFactory, FaultInjector, Runner
 from .outcomes import ExperimentResult, Outcome
-from .parallel import (
-    ExperimentPool,
-    WorkerContext,
-    draw_experiment,
-    make_schedule_entry,
-)
+from .parallel import ServiceCell, draw_experiment, make_schedule_entry
 
 
 @dataclass
@@ -199,7 +195,7 @@ def _campaign_results_parallel(
     count: int,
     rng: Random,
     bindings_factory: BindingsFactory | None,
-    pool: ExperimentPool,
+    pool: ServiceCell,
     recorder=None,
     shard=None,
 ):
@@ -269,19 +265,14 @@ def run_batch(
     count: int,
     rng: Random,
     bindings_factory: BindingsFactory | None = None,
-    jobs: int = 1,
-    worker_context: WorkerContext | None = None,
-    pool=None,
     recorder=None,
     shard=None,
 ) -> CampaignStats:
-    """Run ``count`` experiments into one :class:`CampaignStats` block.
+    """Run ``count`` experiments serially into one :class:`CampaignStats`
+    block.
 
     The flat (no convergence loop) driver used by the Fig. 12 detector
-    study; honors the same serial/parallel split as :func:`run_campaigns`.
-    An externally owned ``pool`` (e.g. a :class:`ServicePool` campaign
-    view) takes precedence over spawning one here and is left open on
-    return.
+    study, whose ``--jobs`` sweeps parallelise by cell instead.
     A ``recorder`` (:meth:`repro.store.CampaignStore.recorder`) streams
     every result into a durable store and replays already-stored
     experiments instead of executing them — bit-identical either way.
@@ -292,26 +283,11 @@ def run_batch(
         raise ValueError("run_batch(shard=...) requires a recorder")
     stats = CampaignStats()
     try:
-        if pool is not None:
-            for result in _campaign_results_parallel(
-                injector, runner_factory, count, rng, bindings_factory, pool,
-                recorder, shard,
-            ):
-                stats.add(result)
-        elif jobs > 1 and worker_context is not None:
-            with ExperimentPool(jobs, worker_context) as own_pool:
-                for result in _campaign_results_parallel(
-                    injector, runner_factory, count, rng, bindings_factory,
-                    own_pool, recorder, shard,
-                ):
-                    stats.add(result)
-                own_pool.close()
-        else:
-            for result in _campaign_results_serial(
-                injector, runner_factory, count, rng, bindings_factory,
-                recorder, shard,
-            ):
-                stats.add(result)
+        for result in _campaign_results_serial(
+            injector, runner_factory, count, rng, bindings_factory,
+            recorder, shard,
+        ):
+            stats.add(result)
     finally:
         if recorder is not None:
             recorder.flush()
@@ -326,21 +302,20 @@ def run_campaigns(
     config: CampaignConfig | None = None,
     seed: int = 0,
     bindings_factory: BindingsFactory | None = None,
-    jobs: int = 1,
-    worker_context: WorkerContext | None = None,
-    pool=None,
+    pool: ServiceCell | None = None,
     recorder=None,
     shard=None,
 ) -> CampaignSummary:
     """Run fault-injection campaigns to statistical convergence.
 
     ``runner_factory(rng)`` must return a *deterministic* runner for a
-    randomly drawn input (the rng is only used for the draw).  With
-    ``jobs > 1`` a ``worker_context`` is required; the summary is then
-    bit-identical to ``jobs=1`` with the same seed.  An externally owned
-    ``pool`` (e.g. a :class:`~repro.core.parallel.ServicePool` campaign
-    view) takes precedence and is left open on return — the service shares
-    one pool across all its campaigns instead of re-forking per campaign.
+    randomly drawn input (the rng is only used for the draw).  A ``pool``
+    (a :class:`~repro.core.parallel.ServicePool` campaign view) runs the
+    faulty halves in its workers and is left open on return — the service
+    shares one pool across all its campaigns instead of re-forking per
+    campaign; the summary is bit-identical to a pool-less run with the
+    same seed.  Pool workers run without detector bindings, so ``pool``
+    and ``bindings_factory`` are exclusive.
 
     A ``recorder`` (built by :meth:`repro.store.CampaignStore.recorder`)
     journals every experiment to a durable store as it completes and
@@ -359,22 +334,17 @@ def run_campaigns(
     """
     if shard is not None and recorder is None:
         raise ValueError("run_campaigns(shard=...) requires a recorder")
+    if pool is not None and bindings_factory is not None:
+        raise ValueError(
+            "run_campaigns(pool=...) cannot take a bindings_factory: pool "
+            "workers run without detector bindings"
+        )
     config = config or CampaignConfig()
     rng = Random(seed)
     campaigns: list[CampaignStats] = []
     totals = CampaignStats()
     sdc_samples: list[float] = []
     converged = False
-
-    owns_pool = False
-    if pool is None and jobs > 1:
-        if worker_context is None:
-            raise ValueError(
-                "run_campaigns(jobs>1) needs a worker_context; build one via "
-                "experiments.common.campaign_worker_context or core.parallel"
-            )
-        pool = ExperimentPool(jobs, worker_context)
-        owns_pool = True
 
     try:
         while len(campaigns) < config.max_campaigns:
@@ -413,8 +383,6 @@ def run_campaigns(
                     converged = True
                     break
     finally:
-        if owns_pool:
-            pool.close()
         if recorder is not None:
             # Whatever happened — convergence, a crash, a deliberate abort —
             # land every journaled record before control leaves.

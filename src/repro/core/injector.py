@@ -196,22 +196,19 @@ class FaultInjector:
             "convergence_exits": 0,
             "unconsumed_resumes": 0,
         }
-        #: The caller's pristine module — what a parallel worker needs to
-        #: rebuild this injector (site enumeration and instrumentation are
-        #: deterministic, so the rebuilt engine enumerates identical ids).
+        #: The caller's pristine module, fingerprinted by
+        #: :meth:`engine_identity`.
         self.source_module = module
         if engine in ("direct", "compiled"):
             # Neither plan-based engine mutates IR: enumerate sites on the
             # pristine module itself and fold them into the decoded program
             # (which the compiled engine then turns into chain closures).
-            self._cloned = True
             self.module = module
             self.sites = self._enumerate(self.module)
             self._plan = build_injection_plan(
                 self.sites, respect_masks=respect_masks
             )
         else:
-            self._cloned = clone
             self.module = clone_module(module) if clone else module
             self.sites = self._enumerate(self.module)
             self._plan = None
@@ -229,9 +226,10 @@ class FaultInjector:
 
         Decodes (and, for ``engine="compiled"``, ``exec``-compiles) every
         defined function of the module now instead of on the first run.
-        Parallel workers call this once at fork so per-experiment timings
-        never include one-time compilation, and so COMPILE_EVENTS-based
-        tests can prove compilation happens once per process.
+        :meth:`EngineSpec.build <repro.core.parallel.EngineSpec.build>`
+        calls this so per-experiment timings never include one-time
+        compilation, and so COMPILE_EVENTS-based tests can prove
+        compilation happens once per process.
         """
         from ..vm.decode import decoded_program
 
@@ -290,25 +288,6 @@ class FaultInjector:
             "category": self.category,
             "step_limit": self.step_limit,
             "respect_masks": self.respect_masks,
-        }
-
-    def worker_payload(self) -> dict:
-        """Constructor kwargs for rebuilding this injector in a worker."""
-        if not self._cloned:
-            raise InjectionError(
-                "parallel workers need an injector built with clone=True "
-                "(clone=False instruments the caller's module in place, so "
-                "no pristine copy exists to ship)"
-            )
-        return {
-            "module": self.source_module,
-            "category": self.category,
-            "functions": self.functions,
-            "step_limit": self.step_limit,
-            "respect_masks": self.respect_masks,
-            "engine": self.engine,
-            "checkpoint_interval": self.checkpoint_interval,
-            "convergence_exit": self.convergence_exit,
         }
 
     # -- execution ------------------------------------------------------------

@@ -8,49 +8,29 @@ cells on the unchanged serial path with the engine it inherited through
 fork, and the parent journals each cell's buffered store operations in
 cell order — so journals are byte-identical to serial at any ``--jobs``.
 
-**Single campaigns parallelise by experiment** (``perf``, a standalone
-``run_cell(jobs>1)``, and the ``serve`` daemon).  The paper's experiments
-are independent (input, site ``k``, bit) triples, but naive fan-out would
-give each worker its own RNG and change the published numbers.  Here the
-*parent* pre-draws the complete schedule with the one campaign
-``Random(seed)`` stream (input draw, then ``k ~ U{1..N}``, then the bit
-from the golden run's recorded site width — exactly the serial draw
-order), and workers only execute the faulty halves.  Results come back in
-schedule order, so a campaign summary is bit-identical to serial execution
-at any ``--jobs``.  Workers are initialized once per process with a
-:class:`WorkerContext`: the pristine module travels pickled, and each
-worker rebuilds its own :class:`~repro.core.injector.FaultInjector` from
-it (instrumentation is deterministic, so site ids agree with the
-parent's).  Golden runs stay in the parent where the input-keyed cache
-lives; with ``Pool.imap`` over a lazy schedule generator they overlap
-with worker faulty runs.
+**The ``serve`` daemon parallelises by experiment.**  The paper's
+experiments are independent (input, site ``k``, bit) triples, but naive
+fan-out would give each worker its own RNG and change the published
+numbers.  Here the *parent* pre-draws the complete schedule with the one
+campaign ``Random(seed)`` stream (input draw, then ``k ~ U{1..N}``, then
+the bit from the golden run's recorded site width — exactly the serial
+draw order), and workers only execute the faulty halves.  Results come
+back in schedule order, so a campaign summary is bit-identical to serial
+execution at any ``--jobs``.  The daemon's :class:`ServicePool` forks
+before any campaign exists, so every task carries an :class:`EngineSpec`
+and each worker builds the engine it names once, from the registry, and
+keeps it for every later campaign on that spec.  Golden runs stay in the
+parent where the input-keyed cache lives; with ``Pool.imap`` over a lazy
+schedule generator they overlap with worker faulty runs.
 """
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from .injector import BindingsFactory, FaultInjector, GoldenRun, Runner
 from .outcomes import ExperimentResult
-
-
-@dataclass
-class WorkerContext:
-    """Everything a worker process needs; must be picklable.
-
-    ``bindings_factory_maker`` is called once per worker to produce the
-    per-run bindings factory (the factory itself is usually a closure, so
-    the picklable *maker* — e.g. ``functools.partial(
-    detector_bindings_factory, halt_on_detection=False)`` — travels
-    instead).
-    """
-
-    injector: dict = field(repr=False)  # FaultInjector kwargs incl. module
-    make_runner: Callable[[dict], Runner]
-    bindings_factory_maker: Callable[[], BindingsFactory] | None = None
 
 
 @dataclass
@@ -69,114 +49,6 @@ class ScheduledExperiment:
 #: one-task batches leave workers starved on IPC; a small constant batch
 #: keeps the pipeline full without delaying the in-order result stream.
 DEFAULT_CHUNKSIZE = 4
-
-class _WorkerEngine:
-    """One worker process's execution state for one campaign cell.
-
-    Built exactly once per (worker, campaign) — at fork for an
-    :class:`ExperimentPool`, on first use for a :class:`ServicePool` — so
-    no task ever pays injector construction or module re-decode.
-    Checkpoint tapes are process-local (register files are keyed by live IR
-    instruction objects), so a checkpointing worker rebuilds the golden run
-    — tape and all — *adaptively*: only for input keys it sees a second
-    time.  A
-    worker in the unique-input regime therefore never doubles its golden
-    work, while the pooled-input regime records each hot input's tape once
-    and fast-forwards every later experiment on it.
-    """
-
-    def __init__(self, context: WorkerContext):
-        self.context = context
-        self.injector = FaultInjector(**context.injector)
-        # Decode — and for engine="compiled", exec-compile — every defined
-        # function now, at fork, so no faulty run ever pays one-time code
-        # generation inside its timed window.
-        self.injector.warm()
-        self.bindings_factory = (
-            context.bindings_factory_maker()
-            if context.bindings_factory_maker is not None
-            else None
-        )
-        self._seen_keys: set = set()
-
-    def run_task(self, task: ScheduledExperiment) -> ExperimentResult:
-        runner = self.context.make_runner(task.params)
-        golden = self._golden_for(runner, task)
-        return self.injector.faulty(
-            runner,
-            golden,
-            task.k,
-            bit=task.bit,
-            bindings_factory=self.bindings_factory,
-        )
-
-    def _golden_for(self, runner, task: ScheduledExperiment) -> GoldenRun:
-        injector = self.injector
-        key = getattr(runner, "input_key", None)
-        if injector.checkpoint_interval and key is not None:
-            if key in self._seen_keys:
-                golden = injector.cached_golden(runner, self.bindings_factory)
-                if (
-                    golden.dynamic_sites != task.dynamic_sites
-                    or golden.dynamic_instructions
-                    != task.golden_dynamic_instructions
-                ):
-                    from ..errors import InjectionError
-
-                    raise InjectionError(
-                        "worker golden run disagrees with the parent's "
-                        "schedule: the program is nondeterministic"
-                    )
-                return golden
-            self._seen_keys.add(key)
-        return GoldenRun(
-            output=task.golden_output,
-            dynamic_sites=task.dynamic_sites,
-            dynamic_instructions=task.golden_dynamic_instructions,
-            detector_fired=False,
-        )
-
-
-_worker_engine: _WorkerEngine | None = None
-
-
-def _init_worker(context: WorkerContext) -> None:
-    global _worker_engine
-    _worker_engine = _WorkerEngine(context)
-
-
-def _run_scheduled(task: ScheduledExperiment) -> ExperimentResult:
-    assert _worker_engine is not None
-    return _worker_engine.run_task(task)
-
-
-class ExperimentPool:
-    """A worker pool executing pre-drawn schedules in order.
-
-    Thin wrapper over ``multiprocessing.Pool`` so campaign code reads as
-    "map the schedule"; ``imap`` keeps the parent producing goldens while
-    workers chew on faulty runs.
-    """
-
-    def __init__(self, jobs: int, context: WorkerContext):
-        self.jobs = jobs
-        self._pool = multiprocessing.get_context().Pool(
-            processes=jobs, initializer=_init_worker, initargs=(context,)
-        )
-
-    def imap(self, schedule, chunksize: int = DEFAULT_CHUNKSIZE):
-        return self._pool.imap(_run_scheduled, schedule, chunksize)
-
-    def close(self) -> None:
-        self._pool.close()
-        self._pool.join()
-
-    def __enter__(self) -> "ExperimentPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._pool.terminate()
-        self._pool.join()
 
 
 #: A sweep worker's cells, inherited through fork (never pickled):
@@ -300,15 +172,14 @@ def run_sweep(cells: list, jobs: int = 1, store=None) -> list:
 class EngineSpec:
     """A by-name recipe for one campaign cell's execution engine.
 
-    Unlike :class:`WorkerContext` — which ships the pickled module itself —
-    a spec is a few strings: workers rebuild the module by compiling the
-    named registry workload locally (compilation and site enumeration are
-    deterministic, so the rebuilt engine is bit-identical to the parent's).
-    That makes specs cheap enough to ride along with *every* task, which is
-    what lets one persistent pool serve campaigns that did not exist when
-    the pool forked: a worker receiving a spec it has never seen builds the
-    engine once, caches it, and every later campaign on the same spec —
-    any tenant, any seed — reuses it warm.
+    A spec is a few strings: :meth:`build` compiles the named registry
+    workload and enumerates its sites, both deterministic, so every process
+    that builds a spec gets a bit-identical engine.  That makes specs cheap
+    enough to ride along with *every* task, which is what lets one
+    persistent pool serve campaigns that did not exist when the pool
+    forked: a worker receiving a spec it has never seen builds the engine
+    once, caches it, and every later campaign on the same spec — any
+    tenant, any seed — reuses it warm.
     """
 
     workload: str
@@ -316,61 +187,62 @@ class EngineSpec:
     category: str
     engine: str = "direct"
     step_limit: int = 2_000_000
-    respect_masks: bool = True
-    checkpoint_interval: int | None = None
 
+    def build(self) -> FaultInjector:
+        """A fresh injector for this spec, every function decoded (and, for
+        ``engine="compiled"``, code-generated) so no run pays for it."""
+        from ..workloads.registry import get_workload
 
-def _spec_context(spec: EngineSpec) -> WorkerContext:
-    """Build a :class:`WorkerContext` from a by-name spec (worker side)."""
-    from ..workloads.registry import build_runner, get_workload
-
-    module = get_workload(spec.workload).compile(spec.target)
-    return WorkerContext(
-        injector={
-            "module": module,
-            "category": spec.category,
-            "step_limit": spec.step_limit,
-            "respect_masks": spec.respect_masks,
-            "engine": spec.engine,
-            "checkpoint_interval": spec.checkpoint_interval,
-        },
-        make_runner=functools.partial(build_runner, spec.workload),
-    )
+        injector = FaultInjector(
+            get_workload(self.workload).compile(self.target),
+            category=self.category,
+            step_limit=self.step_limit,
+            engine=self.engine,
+        )
+        injector.warm()
+        return injector
 
 
 #: Service-mode worker state: engines built on first use and kept warm for
 #: every later campaign with the same spec (the handoff the campaign
 #: service's warm-submission speedup rests on).  Maps EngineSpec ->
-#: _WorkerEngine; lives for the worker process's whole life.
+#: FaultInjector; lives for the worker process's whole life.
 _service_engines: dict = {}
 
 
 def _run_service_task(keyed_task) -> ExperimentResult:
+    """Worker side of one scheduled experiment: its faulty half only.
+
+    The golden run is rebuilt from the parent's schedule entry instead of
+    executed, so a worker never repeats the parent's golden work.
+    """
+    from ..workloads.registry import build_runner
+
     spec, task = keyed_task
-    engine = _service_engines.get(spec)
-    if engine is None:
-        engine = _service_engines[spec] = _WorkerEngine(_spec_context(spec))
-    return engine.run_task(task)
-
-
-def _warm_service_engine(spec: EngineSpec) -> bool:
-    """Pre-build one worker's engine for ``spec``; True if it was cold."""
-    if spec in _service_engines:
-        return False
-    _service_engines[spec] = _WorkerEngine(_spec_context(spec))
-    return True
+    injector = _service_engines.get(spec)
+    if injector is None:
+        injector = _service_engines[spec] = spec.build()
+    golden = GoldenRun(
+        output=task.golden_output,
+        dynamic_sites=task.dynamic_sites,
+        dynamic_instructions=task.golden_dynamic_instructions,
+        detector_fired=False,
+    )
+    return injector.faulty(
+        build_runner(spec.workload, task.params), golden, task.k, bit=task.bit
+    )
 
 
 class ServicePool:
     """One persistent worker pool shared by every campaign of a service.
 
-    An experiment pool forks with its campaign's context known upfront; a
-    service cannot know its future submissions, so its pool forks *empty* and
-    workers build engines lazily from the :class:`EngineSpec` riding along
-    with each task, keeping them cached across campaigns and tenants.
-    Concurrent ``imap`` calls from different scheduler threads are safe —
-    ``multiprocessing.Pool`` serializes its task queue — and results of
-    each campaign still stream back in that campaign's schedule order.
+    A service cannot know its future submissions, so its pool forks
+    *empty* and workers build engines lazily from the :class:`EngineSpec`
+    riding along with each task, keeping them cached across campaigns and
+    tenants.  Concurrent ``imap`` calls from different scheduler threads
+    are safe — ``multiprocessing.Pool`` serializes its task queue — and
+    results of each campaign still stream back in that campaign's schedule
+    order.
     """
 
     def __init__(self, jobs: int):
@@ -385,18 +257,6 @@ class ServicePool:
     ):
         return self._pool.imap(
             _run_service_task, ((spec, task) for task in schedule), chunksize
-        )
-
-    def prewarm(self, spec: EngineSpec) -> int:
-        """Build ``spec``'s engine in every worker; returns cold builds.
-
-        Best-effort: ``map`` hands the batch to whichever workers are
-        free, so a busy pool may warm fewer than ``jobs`` processes — the
-        stragglers build on first task instead, which is correct, just
-        colder.
-        """
-        return sum(
-            self._pool.map(_warm_service_engine, [spec] * self.jobs, chunksize=1)
         )
 
     def close(self) -> None:
@@ -415,7 +275,9 @@ class ServicePool:
 
 
 class ServiceCell:
-    """One campaign's pool-compatible view of a :class:`ServicePool`."""
+    """One campaign's view of a :class:`ServicePool`: the pool argument of
+    :func:`~repro.core.campaign.run_campaigns`.  The owning pool manages
+    worker lifetime."""
 
     def __init__(self, pool: ServicePool, spec: EngineSpec):
         self._pool = pool
@@ -423,9 +285,6 @@ class ServiceCell:
 
     def imap(self, schedule, chunksize: int = DEFAULT_CHUNKSIZE):
         return self._pool.imap_spec(self.spec, schedule, chunksize)
-
-    def close(self) -> None:
-        """No-op: the owning :class:`ServicePool` manages worker lifetime."""
 
 
 def draw_experiment(

@@ -30,11 +30,13 @@ processes.  ``--shards`` (like ``--jobs``) never enters experiment keys:
 shard runs disable the convergence early-exit and always cover the full
 ``max_campaigns`` budget, so every stripe sees the same schedule.
 
-``--jobs N`` runs the fault-injection campaigns in N worker processes;
-results and journals are bit-identical to ``--jobs 1``.  The figure sweeps
-(fig11/fig12/vecdiff) parallelise by cell — each worker runs whole cells,
-and only the parent writes the store; single campaigns (perf, serve)
-parallelise by experiment.
+``--jobs N`` runs the fault-injection campaigns of fig11, fig12, vecdiff,
+``resume`` and ``serve`` in N worker processes; results and journals are
+bit-identical to ``--jobs 1``.  The figure sweeps (and ``resume``, which
+re-runs them) parallelise by cell — each worker runs whole cells, and only
+the parent writes the store.  Only ``serve`` parallelises by experiment,
+fanning each campaign's faulty runs out to its persistent worker pool;
+``perf`` always measures serially.
 
 ``--store DIR`` journals every fault-injection experiment into a durable
 campaign store as it completes (and memoizes the non-campaign tables).  An
@@ -105,7 +107,8 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for campaign experiments (bit-identical to 1)",
+        help="worker processes for fig11/fig12/vecdiff/resume (by cell) and "
+        "serve (by experiment); bit-identical to 1",
     )
     parser.add_argument(
         "--engine",
@@ -383,19 +386,16 @@ def _run_one(
             shard_counts = (1,) if shards == 1 else (1, shards)
         if args.no_checkpoints:
             return mod.run(
-                scale, jobs=args.jobs, engine=args.engine,
+                scale, engine=args.engine,
                 checkpoint_interval=None, shard_counts=shard_counts,
             )
         if args.checkpoint_interval is not None:
             return mod.run(
-                scale, jobs=args.jobs, engine=args.engine,
+                scale, engine=args.engine,
                 checkpoint_interval=args.checkpoint_interval,
                 shard_counts=shard_counts,
             )
-        return mod.run(
-            scale, jobs=args.jobs, engine=args.engine,
-            shard_counts=shard_counts,
-        )
+        return mod.run(scale, engine=args.engine, shard_counts=shard_counts)
     if name == "ablations":
         return mod.run(scale, engine=engine, store=store)
     return mod.run(scale, store=store)

@@ -7,7 +7,6 @@ reproduce the same numbers.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -16,9 +15,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..core.campaign import CampaignConfig
-from ..core.injector import FaultInjector
-from ..core.parallel import WorkerContext
-from ..workloads.registry import Workload, build_runner
 
 #: Experiment scale presets.  The paper runs 20 campaigns x 100 experiments
 #: per cell (108,000 total injections for Fig. 11); the reduced presets keep
@@ -46,28 +42,6 @@ def cell_seed(*coords) -> int:
     """A stable 32-bit seed for one experiment cell."""
     text = ":".join(str(c) for c in (BASE_SEED, *coords))
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
-
-
-def campaign_worker_context(
-    injector: FaultInjector, workload: Workload, with_detectors: bool = False
-) -> WorkerContext:
-    """Build the picklable context for running ``--jobs > 1`` campaigns.
-
-    Ships the injector's pristine-module payload plus a by-name runner
-    builder; with ``with_detectors`` each worker also instantiates its own
-    detector bindings factory (the factory itself is a closure and cannot
-    travel pickled).
-    """
-    maker = None
-    if with_detectors:
-        from ..detectors.runtime import detector_bindings_factory
-
-        maker = functools.partial(detector_bindings_factory)
-    return WorkerContext(
-        injector=injector.worker_payload(),
-        make_runner=functools.partial(build_runner, workload.name),
-        bindings_factory_maker=maker,
-    )
 
 
 @dataclass

@@ -25,7 +25,6 @@ from .common import (
     ExperimentReport,
     SCALES,
     TARGETS,
-    campaign_worker_context,
     cell_seed,
 )
 
@@ -62,7 +61,6 @@ def run_cell(
     category: str,
     config: CampaignConfig,
     step_limit: int = 2_000_000,
-    jobs: int = 1,
     engine: str = "direct",
     checkpoint_interval: int | None = None,
     injector: FaultInjector | None = None,
@@ -76,8 +74,8 @@ def run_cell(
 
     ``injector``/``recorder`` are supplied by :func:`run`, which builds
     every cell's engine and store recorder before the sweep starts;
-    standalone callers leave them unset and get a per-cell pool (``jobs >
-    1``), serial runs, and — with ``store`` — a per-cell recorder.
+    standalone callers leave them unset and get a serial run with its own
+    engine and — with ``store`` — a per-cell recorder.
     ``shard`` (a :class:`~repro.store.ShardSpec`) restricts execution to
     one schedule stripe; see :mod:`repro.store.shard`.
     """
@@ -92,16 +90,11 @@ def run_cell(
             store, workload, target, category, scale, config, injector,
             abort_after=abort_after,
         )
-    worker_context = (
-        campaign_worker_context(injector, workload) if jobs > 1 else None
-    )
     summary = run_campaigns(
         injector,
         workload.runner_factory(),
         config,
         seed=cell_seed("fig11", workload.name, target, category),
-        jobs=jobs,
-        worker_context=worker_context,
         recorder=recorder,
         shard=shard,
     )

@@ -34,7 +34,6 @@ from .common import (
     CATEGORIES,
     ExperimentReport,
     FIG12_EXPERIMENTS,
-    campaign_worker_context,
     cell_seed,
 )
 
@@ -112,7 +111,6 @@ def run_cell(
     category: str,
     experiments: int,
     target: str = "avx",
-    jobs: int = 1,
     engine: str = "direct",
     checkpoint_interval: int | None = None,
     injector: FaultInjector | None = None,
@@ -135,19 +133,12 @@ def run_cell(
         )
     rng = Random(cell_seed("fig12", workload.name, target, category))
     factory = detector_bindings_factory()
-    worker_context = (
-        campaign_worker_context(injector, workload, with_detectors=True)
-        if jobs > 1
-        else None
-    )
     stats = run_batch(
         injector,
         workload.runner_factory(),
         experiments,
         rng,
         bindings_factory=factory,
-        jobs=jobs,
-        worker_context=worker_context,
         recorder=recorder,
         shard=shard,
     )

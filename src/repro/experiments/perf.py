@@ -118,7 +118,6 @@ def _mini_injector(
 
 def _mini_campaign(
     regime: str,
-    jobs: int = 1,
     engine: str = "direct",
     checkpoint_interval: int | None = MINI_CHECKPOINT_INTERVAL,
     injector: FaultInjector | None = None,
@@ -139,72 +138,57 @@ def _mini_campaign(
             n, seed = rng.choice(POOLED_INPUTS)
             return workload.build_runner({"n": n, "seed": seed})
 
-    worker_context = None
-    if jobs > 1:
-        from .common import campaign_worker_context
-
-        worker_context = campaign_worker_context(injector, workload)
-
     # Engine blocks run back to back in one process; without this, the
     # previous block's garbage (checkpoint tapes hold full memory images)
     # is collected inside the next block's timed window and charges one
     # engine for another's cleanup.
     gc.collect()
 
-    # Faulty-run-only timing split (serial runs only: with --jobs the
-    # faulty halves execute in workers): shadow the bound method with a
-    # timing wrapper, so golden-run and classification time is excluded
-    # from the per-engine comparison the direct engine is judged on.  With
+    # Faulty-run-only timing split: shadow the bound method with a timing
+    # wrapper, so golden-run and classification time is excluded from the
+    # per-engine comparison the direct engine is judged on.  With
     # checkpoints on, the split further separates prefix-skipped (restored)
     # from full-replay faulty runs, attributed by watching the injector's
     # restore counter across each call.
     faulty_seconds = 0.0
     restored = {"runs": 0, "seconds": 0.0}
     full = {"runs": 0, "seconds": 0.0}
-    if jobs == 1:
-        inner_faulty = injector.faulty
-        cstats = injector.checkpoint_stats
+    inner_faulty = injector.faulty
+    cstats = injector.checkpoint_stats
 
-        def timed_faulty(*args, **kwargs):
-            nonlocal faulty_seconds
-            before = cstats["restores"]
-            t = time.perf_counter()
-            try:
-                return inner_faulty(*args, **kwargs)
-            finally:
-                dt = time.perf_counter() - t
-                faulty_seconds += dt
-                split = restored if cstats["restores"] > before else full
-                split["runs"] += 1
-                split["seconds"] += dt
+    def timed_faulty(*args, **kwargs):
+        nonlocal faulty_seconds
+        before = cstats["restores"]
+        t = time.perf_counter()
+        try:
+            return inner_faulty(*args, **kwargs)
+        finally:
+            dt = time.perf_counter() - t
+            faulty_seconds += dt
+            split = restored if cstats["restores"] > before else full
+            split["runs"] += 1
+            split["seconds"] += dt
 
-        injector.faulty = timed_faulty
+    injector.faulty = timed_faulty
 
     slots_before = VECTOR_EVENTS["ndarray_slots"]
     t0 = time.perf_counter()
     try:
-        summary = run_campaigns(
-            injector, factory, MINI_CONFIG, seed=SEED,
-            jobs=jobs, worker_context=worker_context,
-        )
+        summary = run_campaigns(injector, factory, MINI_CONFIG, seed=SEED)
     finally:
-        if jobs == 1:
-            # Un-shadow the bound method so a shared injector's next regime
-            # does not stack timing wrappers.
-            del injector.faulty
+        # Un-shadow the bound method so a shared injector's next regime
+        # does not stack timing wrappers.
+        del injector.faulty
     elapsed = time.perf_counter() - t0
     totals = (summary.totals.sdc, summary.totals.benign, summary.totals.crash)
     return {
         "regime": regime,
         "engine": engine,
-        "jobs": jobs,
         "checkpoint_interval": checkpoint_interval,
         "experiments": summary.totals.total,
         "seconds": elapsed,
-        "faulty_seconds": faulty_seconds if jobs == 1 else None,
-        "faulty_split": (
-            {"restored": restored, "full": full} if jobs == 1 else None
-        ),
+        "faulty_seconds": faulty_seconds,
+        "faulty_split": {"restored": restored, "full": full},
         "baseline_seconds": BASELINE[regime],
         "speedup": BASELINE[regime] / elapsed,
         "totals": totals,
@@ -215,10 +199,8 @@ def _mini_campaign(
         "checkpoints": dict(injector.checkpoint_stats),
         # Packed ndarray register slots materialized during this regime
         # (vm/bits.VECTOR_EVENTS delta) — the batched tier's allocation
-        # pressure, serial runs only (workers count in their own process).
-        "ndarray_slots": (
-            VECTOR_EVENTS["ndarray_slots"] - slots_before if jobs == 1 else None
-        ),
+        # pressure.
+        "ndarray_slots": VECTOR_EVENTS["ndarray_slots"] - slots_before,
     }
 
 
@@ -678,7 +660,6 @@ def shard_bench(counts: tuple = SHARD_BENCH_COUNTS) -> dict:
 
 
 def bench_results(
-    jobs: int = 1,
     engines: tuple = ENGINES,
     checkpoint_interval: int | None = MINI_CHECKPOINT_INTERVAL,
     shard_counts: tuple | None = SHARD_BENCH_COUNTS,
@@ -700,12 +681,8 @@ def bench_results(
         per_engine[engine] = {
             r["regime"]: r
             for r in (
-                _mini_campaign(
-                    "unique", jobs, engine, checkpoint_interval, injector
-                ),
-                _mini_campaign(
-                    "pooled", jobs, engine, checkpoint_interval, injector
-                ),
+                _mini_campaign("unique", engine, checkpoint_interval, injector),
+                _mini_campaign("pooled", engine, checkpoint_interval, injector),
             )
         }
     payload = {
@@ -716,7 +693,6 @@ def bench_results(
             "experiments_per_campaign": MINI_CONFIG.experiments_per_campaign,
             "campaigns": MINI_CONFIG.max_campaigns,
         },
-        "jobs": jobs,
         "checkpoint_interval": checkpoint_interval,
         "regimes": per_engine[engines[0]],
         "engines": per_engine,
@@ -754,14 +730,13 @@ def bench_results(
 
 def run(
     scale: str = "quick",
-    jobs: int = 1,
     engine: str | None = None,
     checkpoint_interval: int | None = MINI_CHECKPOINT_INTERVAL,
     shard_counts: tuple | None = SHARD_BENCH_COUNTS,
 ) -> ExperimentReport:
     engines = ENGINES if engine is None else (engine,)
     results = bench_results(
-        jobs=jobs, engines=engines, checkpoint_interval=checkpoint_interval,
+        engines=engines, checkpoint_interval=checkpoint_interval,
         shard_counts=shard_counts,
     )
     rows = [

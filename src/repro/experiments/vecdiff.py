@@ -29,7 +29,6 @@ from .common import (
     ExperimentReport,
     SCALES,
     TARGETS,
-    campaign_worker_context,
     cell_seed,
 )
 
@@ -89,7 +88,6 @@ def run_cell(
     category: str,
     config: CampaignConfig,
     step_limit: int = 2_000_000,
-    jobs: int = 1,
     engine: str = "direct",
     checkpoint_interval: int | None = None,
     injector: FaultInjector | None = None,
@@ -111,16 +109,11 @@ def run_cell(
             store, workload, target, category, scale, config,
             injector, abort_after=abort_after,
         )
-    worker_context = (
-        campaign_worker_context(injector, workload) if jobs > 1 else None
-    )
     summary = run_campaigns(
         injector,
         workload.runner_factory(),
         config,
         seed=cell_seed("vecdiff", workload.name, target, category),
-        jobs=jobs,
-        worker_context=worker_context,
         recorder=recorder,
         shard=shard,
     )

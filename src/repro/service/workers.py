@@ -60,17 +60,7 @@ class EngineCache:
                 self.reuses += 1
                 return free.pop()
             self.builds += 1
-        from ..workloads.registry import get_workload
-
-        module = get_workload(spec.workload).compile(spec.target)
-        injector = FaultInjector(
-            module,
-            category=spec.category,
-            step_limit=spec.step_limit,
-            engine=spec.engine,
-        )
-        injector.warm()
-        return injector
+        return spec.build()
 
     def release(self, spec: EngineSpec, injector: FaultInjector) -> None:
         with self._lock:

@@ -148,9 +148,9 @@ def get_workload(name: str) -> Workload:
 def build_runner(name: str, params: dict):
     """Module-level :meth:`Workload.build_runner` by workload name.
 
-    Picklable via ``functools.partial(build_runner, name)`` — this is the
-    ``make_runner`` callable a :class:`~repro.core.parallel.WorkerContext`
-    ships to worker processes.
+    How a :class:`~repro.core.parallel.ServicePool` worker rebuilds the
+    runner of a scheduled experiment from its spec's workload name and the
+    experiment's pickled ``params``.
     """
     return get_workload(name).build_runner(params)
 

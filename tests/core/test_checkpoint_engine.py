@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import FaultInjector, run_campaigns
 from repro.core.campaign import CampaignConfig
+from repro.core.parallel import EngineSpec, ServicePool
 from repro.errors import InjectionError
 from repro.frontend import compile_source
 from repro.workloads import all_workloads, get_workload, micro_workloads
@@ -273,16 +274,6 @@ class TestCheckpointApi:
         with pytest.raises(InjectionError, match="checkpoint_interval"):
             FaultInjector(module, checkpoint_interval=0)
 
-    def test_worker_payload_round_trips_checkpoint_config(self):
-        module = compile_source(INT_KERNEL, "avx")
-        injector = FaultInjector(
-            module, checkpoint_interval=64, convergence_exit=False
-        )
-        payload = injector.worker_payload()
-        rebuilt = FaultInjector(**payload)
-        assert rebuilt.checkpoint_interval == 64
-        assert rebuilt.convergence_exit is False
-
     def test_golden_without_interval_has_no_tape(self):
         module = compile_source(INT_KERNEL, "avx")
         injector = FaultInjector(module)
@@ -318,7 +309,7 @@ class TestCampaignIntegration:
         margin_target=0.0,
     )
 
-    def _summary(self, checkpoint_interval, jobs=1):
+    def _summary(self, checkpoint_interval, pool=None):
         workload = get_workload("vector_sum")
         module = workload.compile("avx")
         injector = FaultInjector(
@@ -327,18 +318,16 @@ class TestCampaignIntegration:
             step_limit=500_000,
             checkpoint_interval=checkpoint_interval,
         )
-        worker_context = None
-        if jobs > 1:
-            from repro.experiments.common import campaign_worker_context
-
-            worker_context = campaign_worker_context(injector, workload)
+        if pool is not None:
+            pool = pool.cell(
+                EngineSpec("vector_sum", "avx", "all", step_limit=500_000)
+            )
         return run_campaigns(
             injector,
             workload.runner_factory(),
             self.CONFIG,
             seed=11,
-            jobs=jobs,
-            worker_context=worker_context,
+            pool=pool,
         )
 
     @staticmethod
@@ -351,8 +340,11 @@ class TestCampaignIntegration:
         )
 
     def test_parallel_campaign_matches_serial(self):
+        """A checkpointing parent draws the schedule; pool workers, which
+        never checkpoint, replay each faulty run in full."""
         serial = self._summary(INTERVAL)
-        parallel = self._summary(INTERVAL, jobs=2)
+        with ServicePool(2) as pool:
+            parallel = self._summary(INTERVAL, pool=pool)
         assert self._totals(serial) == self._totals(parallel)
 
     def test_summary_surfaces_cache_and_checkpoint_stats(self):

@@ -300,14 +300,6 @@ class TestEngineApi:
         plan = build_injection_plan(sites)
         assert len(plan) == len(sites)
 
-    def test_worker_payload_carries_engine(self):
-        module = compile_source(INT_KERNEL, "avx")
-        for engine in ENGINES:
-            payload = FaultInjector(module, engine=engine).worker_payload()
-            assert payload["engine"] == engine
-            rebuilt = FaultInjector(**payload)
-            assert rebuilt.engine == engine
-
     def test_direct_site_ids_match_instrumented(self):
         module = compile_source(INT_KERNEL, "avx")
         direct = FaultInjector(module, engine="direct")

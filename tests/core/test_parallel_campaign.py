@@ -12,13 +12,11 @@ from repro.core import (
     ExperimentResult,
     FaultInjector,
     Outcome,
-    WorkerContext,
     run_batch,
     run_campaigns,
 )
-from repro.errors import InjectionError
+from repro.core.parallel import EngineSpec, ServicePool
 from repro.workloads import get_workload
-from repro.workloads.registry import build_runner
 
 #: Small but non-trivial: 2 campaigns x 25 experiments, no early convergence.
 _CONFIG = CampaignConfig(
@@ -88,34 +86,35 @@ def _summary_fingerprint(summary):
     )
 
 
+def _spec(workload):
+    return EngineSpec(workload.name, "avx", "all", step_limit=500_000)
+
+
 class TestParallelDeterminism:
+    """Experiment-grain fan-out (the ``serve`` daemon's path): the parent
+    pre-draws the schedule, a :class:`ServicePool` runs the faulty halves."""
+
     @pytest.fixture(scope="class")
     def setup(self):
         workload = get_workload("vector_sum")
         module = workload.compile("avx")
         return workload, module
 
-    def _run(self, setup, jobs):
+    def _run(self, setup, pool=None):
         workload, module = setup
         injector = FaultInjector(module, category="all", step_limit=500_000)
-        worker_context = None
-        if jobs > 1:
-            worker_context = WorkerContext(
-                injector=injector.worker_payload(),
-                make_runner=functools.partial(build_runner, workload.name),
-            )
         return run_campaigns(
             injector,
             workload.runner_factory(),
             _CONFIG,
             seed=7,
-            jobs=jobs,
-            worker_context=worker_context,
+            pool=pool.cell(_spec(workload)) if pool is not None else None,
         )
 
     def test_serial_vs_parallel_identical(self, setup):
-        serial = self._run(setup, jobs=1)
-        parallel = self._run(setup, jobs=4)
+        serial = self._run(setup)
+        with ServicePool(2) as pool:
+            parallel = self._run(setup, pool)
         assert _summary_fingerprint(serial) == _summary_fingerprint(parallel)
         # The mini-campaign must exercise every outcome class for this to be
         # a meaningful determinism check.
@@ -124,64 +123,45 @@ class TestParallelDeterminism:
         assert serial.totals.crash > 0
 
     def test_run_batch_serial_vs_parallel(self, setup):
+        """A flat batch equals one pooled campaign drawn from the same
+        ``Random(seed)`` stream."""
         workload, module = setup
-
-        def batch(jobs):
-            injector = FaultInjector(module, category="all", step_limit=500_000)
-            ctx = None
-            if jobs > 1:
-                ctx = WorkerContext(
-                    injector=injector.worker_payload(),
-                    make_runner=functools.partial(build_runner, workload.name),
-                )
-            return run_batch(
-                injector, workload.runner_factory(), 30, Random(5),
-                jobs=jobs, worker_context=ctx,
-            )
-
-        a, b = batch(1), batch(2)
-        assert (a.sdc, a.benign, a.crash) == (b.sdc, b.benign, b.crash)
-        assert a.crash_kinds == b.crash_kinds
-
-    def test_jobs_without_context_rejected(self, setup):
-        workload, module = setup
-        injector = FaultInjector(module)
-        with pytest.raises(ValueError, match="worker_context"):
-            run_campaigns(
-                injector, workload.runner_factory(), _CONFIG, seed=7, jobs=2
-            )
-
-    def test_uncloned_injector_has_no_worker_payload(self, setup):
-        workload, module = setup
-        # clone=False instruments the given module in place (instrumented
-        # engine only — the direct engine never mutates IR, so clone is
-        # moot there); use a throwaway clone so the shared fixture module
-        # stays pristine.
-        from repro.ir.clone import clone_module
-
-        injector = FaultInjector(
-            clone_module(module), clone=False, engine="instrumented"
+        batch = run_batch(
+            FaultInjector(module, category="all", step_limit=500_000),
+            workload.runner_factory(), 30, Random(5),
         )
-        with pytest.raises(InjectionError, match="clone=True"):
-            injector.worker_payload()
+        one_campaign = CampaignConfig(
+            experiments_per_campaign=30, max_campaigns=1, min_campaigns=1
+        )
+        with ServicePool(2) as pool:
+            pooled = run_campaigns(
+                FaultInjector(module, category="all", step_limit=500_000),
+                workload.runner_factory(), one_campaign, seed=5,
+                pool=pool.cell(_spec(workload)),
+            ).totals
+        assert (batch.sdc, batch.benign, batch.crash) == (
+            pooled.sdc, pooled.benign, pooled.crash,
+        )
+        assert batch.crash_kinds == pooled.crash_kinds
+
+    def test_pool_rejects_detector_bindings(self, setup):
+        """Pool workers run without detector bindings, so a detector
+        campaign cannot silently lose its detections to a pool."""
+        from repro.detectors.runtime import detector_bindings_factory
+
+        workload, module = setup
+        with pytest.raises(ValueError, match="bindings_factory"):
+            run_campaigns(
+                FaultInjector(module), workload.runner_factory(), _CONFIG,
+                bindings_factory=detector_bindings_factory(),
+                pool=object(),  # refused before any worker is asked
+            )
 
 
 class TestWorkerEngine:
-    """The per-worker execution state: build-once, decode-once, adaptive
-    checkpoint rebuilds.  Exercised in-process — the pool initializers and
-    task runners below are exactly what forked workers execute."""
-
-    def _context(self, checkpoint_interval=None):
-        from repro.experiments.common import campaign_worker_context
-
-        workload = get_workload("vector_sum")
-        injector = FaultInjector(
-            workload.compile("avx"),
-            category="all",
-            step_limit=500_000,
-            checkpoint_interval=checkpoint_interval,
-        )
-        return injector, workload, campaign_worker_context(injector, workload)
+    """The per-worker execution state: one engine per spec, built once and
+    kept warm.  Exercised in-process — the task runner below is exactly
+    what forked :class:`ServicePool` workers execute."""
 
     def _schedule(self, injector, workload, count, seed=21):
         from repro.core.parallel import make_schedule_entry
@@ -190,18 +170,29 @@ class TestWorkerEngine:
         runner = workload.build_runner({"n": 90, "seed": 55})
         return [make_schedule_entry(injector, runner, rng) for _ in range(count)]
 
-    def test_worker_decodes_module_once(self):
+    @pytest.fixture()
+    def worker(self, monkeypatch):
+        """A fresh worker-side engine cache, and the task runner over it."""
         from repro.core import parallel
+
+        engines = {}
+        monkeypatch.setattr(parallel, "_service_engines", engines)
+        return engines, parallel._run_service_task
+
+    def test_worker_decodes_module_once(self, worker):
         from repro.vm.decode import DECODE_EVENTS
 
-        injector, workload, context = self._context()
-        tasks = self._schedule(injector, workload, 8)
-        parallel._init_worker(context)
-        parallel._run_scheduled(tasks[0])  # first run pays the lazy decode
+        engines, run_task = worker
+        workload = get_workload("vector_sum")
+        spec = _spec(workload)
+        tasks = self._schedule(spec.build(), workload, 8)
+        run_task((spec, tasks[0]))  # first task builds the spec's engine
+        (built,) = engines.values()
         before = DECODE_EVENTS["functions"]
         for task in tasks[1:]:
-            parallel._run_scheduled(task)
+            run_task((spec, task))
         assert DECODE_EVENTS["functions"] == before
+        assert engines == {spec: built}
 
     def test_sweep_worker_builds_only_the_cells_it_runs(self, monkeypatch):
         """A sweep worker runs a cell on the engine it inherited, generates
@@ -237,31 +228,18 @@ class TestWorkerEngine:
         ]
         assert cells[1] is None and ran() is None
 
-    def test_worker_rebuilds_golden_for_repeated_inputs(self):
-        """Checkpointing workers synthesize the golden for a first-seen
-        input (no extra golden run) but rebuild it — tape included — the
-        second time the same input key arrives."""
-        from repro.core.parallel import _WorkerEngine
-
-        injector, workload, context = self._context(checkpoint_interval=30)
-        tasks = self._schedule(injector, workload, 6)
-        engine = _WorkerEngine(context)
-        engine.run_task(tasks[0])
-        first_round = dict(engine.injector.checkpoint_stats)
-        assert first_round["tapes_recorded"] == 0  # synthesized golden, no tape
-        for task in tasks[1:]:
-            engine.run_task(task)
-        stats = engine.injector.checkpoint_stats
-        assert stats["tapes_recorded"] == 1  # rebuilt once, then cached
-        assert stats["restores"] + stats["full_replays"] >= len(tasks) - 1
-
-    def test_worker_results_match_parent_serial(self):
-        injector, workload, context = self._context(checkpoint_interval=30)
+    def test_worker_results_match_parent_serial(self, worker):
+        """Workers synthesize the golden from the schedule entry; their
+        faulty runs equal the parent's, checkpoint tapes or not."""
+        _, run_task = worker
+        workload = get_workload("vector_sum")
+        spec = _spec(workload)
+        injector = FaultInjector(
+            workload.compile("avx"), category="all", step_limit=500_000,
+            checkpoint_interval=30,
+        )
         tasks = self._schedule(injector, workload, 10)
-        from repro.core.parallel import _WorkerEngine
-
-        engine = _WorkerEngine(context)
-        worker_results = [engine.run_task(t) for t in tasks]
+        worker_results = [run_task((spec, t)) for t in tasks]
         runner = workload.build_runner({"n": 90, "seed": 55})
         golden = injector.cached_golden(runner)
         serial_results = [

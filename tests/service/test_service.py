@@ -1,6 +1,7 @@
 """In-process daemon end-to-end: submit, stream, dedupe, report, journal
 byte-identity with the CLI paths."""
 
+import contextlib
 import json
 import threading
 
@@ -19,12 +20,10 @@ from repro.service.protocol import normalize_submission
 from repro.store import CampaignStore
 
 
-@pytest.fixture()
-def daemon(tmp_path):
-    """A live daemon on an OS-assigned port, torn down after the test."""
-    service = CampaignService(
-        tmp_path / "daemon-store", port=0, jobs=0, durable=True
-    )
+@contextlib.contextmanager
+def _live_daemon(root, jobs):
+    """A live daemon on an OS-assigned port, torn down on exit."""
+    service = CampaignService(root, port=0, jobs=jobs, durable=True)
     thread = threading.Thread(
         target=service.serve_forever, kwargs={"quiet": True}, daemon=True
     )
@@ -34,6 +33,12 @@ def daemon(tmp_path):
     service.request_stop()
     thread.join(timeout=30)
     assert not thread.is_alive()
+
+
+@pytest.fixture()
+def daemon(tmp_path):
+    with _live_daemon(tmp_path / "daemon-store", jobs=0) as service:
+        yield service
 
 
 def _client(daemon, tenant="test"):
@@ -94,6 +99,18 @@ def test_concurrent_tenants_all_complete(daemon):
 
 
 def test_daemon_journal_matches_local_cli_run(daemon, tmp_path):
+    _assert_journal_matches_local_cli_run(daemon, tmp_path)
+
+
+def test_daemon_journal_matches_local_cli_run_under_a_worker_pool(tmp_path):
+    """``serve --jobs 2``: the campaign's faulty runs fan out to the
+    daemon's worker pool, and the journal still equals the local run's."""
+    with _live_daemon(tmp_path / "daemon-store", jobs=2) as daemon:
+        assert daemon.pool is not None
+        _assert_journal_matches_local_cli_run(daemon, tmp_path)
+
+
+def _assert_journal_matches_local_cli_run(daemon, tmp_path):
     client = _client(daemon)
     client.run(workload="vector_sum", category="pure-data", scale="smoke")
     local_store = tmp_path / "local-store"

@@ -1,13 +1,14 @@
 """The resume invariant: a campaign killed partway and resumed is
 byte-identical to one that never crashed — across all three engines,
-serial and ``--jobs 2``, and the rebuilt report never executes anything."""
+serial and with a two-worker :class:`ServicePool` (the ``serve --jobs 2``
+path), and the rebuilt report never executes anything."""
 
 import json
 
 import pytest
 
 from repro.core import CampaignConfig, ENGINES, FaultInjector, run_campaigns
-from repro.experiments.common import campaign_worker_context
+from repro.core.parallel import EngineSpec, ServicePool
 from repro.store import CampaignAborted, CampaignStore, TornTailWarning
 from repro.workloads import get_workload
 
@@ -41,18 +42,20 @@ def _recorder(store, injector, **kwargs):
     )
 
 
-def _run(store, engine, jobs=1, abort_after=None):
+def _run(store, engine, pool=None, abort_after=None):
     w = get_workload("vcopy")
     injector = _injector(engine)
     recorder = _recorder(store, injector, abort_after=abort_after)
-    worker_context = campaign_worker_context(injector, w) if jobs > 1 else None
+    if pool is not None:
+        pool = pool.cell(
+            EngineSpec("vcopy", "avx", "pure-data", engine, injector.step_limit)
+        )
     return run_campaigns(
         injector,
         w.runner_factory(),
         _CONFIG,
         seed=_SEED,
-        jobs=jobs,
-        worker_context=worker_context,
+        pool=pool,
         recorder=recorder,
     )
 
@@ -77,7 +80,8 @@ def test_interrupted_resume_is_byte_identical(tmp_path, engine):
 
     # ...reopen the store and finish the run under a parallel pool.
     resumed_store = CampaignStore(tmp_path / "crashed")
-    resumed = _run(resumed_store, engine, jobs=2)
+    with ServicePool(2) as pool:
+        resumed = _run(resumed_store, engine, pool=pool)
     assert resumed.store == {"hits": 5, "misses": 7, "recorded": 12}
 
     # Outcome totals, per-campaign stats, and rate estimates all agree.
